@@ -139,19 +139,6 @@ pub fn cone_inputs(keyed: &KeyedNetlist, mode: CoiMode) -> Option<Vec<usize>> {
     )
 }
 
-/// Primary outputs reached by some cloaked cell under `mode`'s
-/// engagement gate, or `None` when callers should stay on the full
-/// design (mode off or below threshold, no affected output, or every
-/// output affected). Same decision as [`CoiProjection::build`], at the
-/// cost of two linear sweeps — used by cone-scoped key verification,
-/// which only needs the output set, not the materialized cone.
-pub fn affected_outputs(keyed: &KeyedNetlist, mode: CoiMode) -> Option<Vec<NodeId>> {
-    if !mode.engages(keyed.netlist().len()) {
-        return None;
-    }
-    affected_outputs_of(keyed)
-}
-
 /// Primary outputs reached by some cloaked cell, or `None` when the
 /// projection preconditions fail (no affected output, or every output
 /// affected).

@@ -23,7 +23,10 @@
 //!   superpose into correlated output errors, and the key-rotating chip
 //!   of Sec. V-C ([`RotatingOracle`]); [`OracleStack::rotating_noisy`]
 //!   is the combined rotating + stochastic defense;
-//! * key verification by exact SAT equivalence ([`verify_key`]).
+//! * key verification by exact equivalence on one structurally hashed
+//!   miter ([`verify_key`]): a key that restores the defender's structure
+//!   is proved correct without a solver, and any other key costs one
+//!   solve over only the outputs it changes.
 //!
 //! The attacker's view of a [`gshe_camo::KeyedNetlist`] is its structure
 //! and per-cell candidate sets only; attacks never read the embedded
@@ -42,6 +45,7 @@ pub mod oracle;
 pub mod runner;
 pub mod sat_attack;
 pub mod stack;
+mod strash;
 
 pub use appsat::{appsat_attack, AppSatConfig};
 pub use coi::{cone_inputs, CoiMode, CoiOracle, CoiProjection, COI_AUTO_THRESHOLD};
@@ -49,7 +53,7 @@ pub use dip_engine::{RefinePolicy, DEFAULT_BATCH_WIDTH};
 pub use double_dip::double_dip_attack;
 pub use encode::{assert_valid_key_codes, encode_keyed, encode_keyed_fixed, EncodedCopy};
 pub use gshe_sat::{RestartMode, SimplifyMode};
-pub use metrics::{sat_equivalent_on, verify_key, verify_key_scoped, KeyVerification};
+pub use metrics::{verify_key, verify_key_scoped, verify_key_until, KeyVerification};
 pub use oracle::{NetlistOracle, Oracle, RotatingOracle, StochasticOracle};
 pub use runner::{AttackKind, AttackRunner};
 pub use sat_attack::{sat_attack, AttackConfig, AttackOutcome, AttackStatus};

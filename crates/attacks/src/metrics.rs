@@ -1,28 +1,34 @@
 //! Key verification and attack-quality metrics.
+//!
+//! Equivalence is decided on one structurally hashed miter: the original
+//! and the resolved netlist are hashed into a shared signal space, a key
+//! that restores the defender's structure is proved correct without
+//! building a solver, and any output pairs that still differ are settled
+//! by one solve over just their fanin cones.
 
-use crate::coi::{affected_outputs, CoiMode};
-use crate::encode::encode_keyed;
+use crate::coi::CoiMode;
+use crate::strash::miter;
 use gshe_camo::{CamoError, KeyedNetlist};
-use gshe_logic::{Netlist, NodeId, PatternBlock, Simulator};
-use gshe_sat::{CircuitEncoder, Lit, SolveResult, Solver};
+use gshe_logic::{Netlist, PatternBlock, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::time::Instant;
 
 /// Verdict on a recovered key.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KeyVerification {
     /// The key selects the defender's exact candidate at every cell.
     pub structurally_correct: bool,
-    /// The resolved netlist is **provably** (SAT-checked) equivalent to the
-    /// original — the attacker's actual success criterion.
+    /// The resolved netlist is **provably** equivalent to the original
+    /// (structural hashing, then SAT where the hash cannot decide) — the
+    /// attacker's actual success criterion.
     pub functionally_equivalent: bool,
     /// Fraction of 4096 random patterns on which the resolved netlist
     /// disagrees with the original (0.0 when equivalent).
     pub sampled_error_rate: f64,
 }
 
-/// Verifies a recovered key against the original design: exact SAT
+/// Verifies a recovered key against the original design: exact
 /// equivalence of the resolved netlist plus a sampled error rate.
 ///
 /// # Errors
@@ -33,21 +39,12 @@ pub fn verify_key(
     keyed: &KeyedNetlist,
     key: &[bool],
 ) -> Result<KeyVerification, CamoError> {
-    verify_key_scoped(original, keyed, key, CoiMode::Off)
+    verify(original, keyed, key, None).map(|v| v.expect("an unbounded check always settles"))
 }
 
-/// [`verify_key`] with the equivalence proof scoped to the cone of
-/// influence of the cloaked cells when `mode` engages on this design.
-///
-/// Resolution rewrites only the cloaked cells, so any output no cell
-/// reaches computes the same function of the primary inputs in both
-/// netlists by construction — the SAT proof need cover only the
-/// affected outputs' fanin cones. On superblue-scale designs that turns
-/// a full-width UNSAT proof (the dominant cost of a campaign attack
-/// cell once the DIP loop itself runs on the cone) into one over a
-/// few-thousand-node cone. The verdict is identical to [`verify_key`]'s;
-/// [`CoiMode::Off`] (or a design below the threshold, or a degenerate
-/// affected set) falls back to the full-interface miter.
+/// [`verify_key`], kept for callers that still pass a COI mode. The
+/// strashed miter scopes itself to the outputs a key can change, so
+/// `mode` no longer affects the proof.
 ///
 /// # Errors
 ///
@@ -56,83 +53,57 @@ pub fn verify_key_scoped(
     original: &Netlist,
     keyed: &KeyedNetlist,
     key: &[bool],
-    mode: CoiMode,
+    _mode: CoiMode,
 ) -> Result<KeyVerification, CamoError> {
+    verify_key(original, keyed, key)
+}
+
+/// [`verify_key`] bounded by a wall-clock `deadline`: the solver runs in
+/// conflict slices and gives up once the deadline has passed. Returns
+/// `Ok(None)` on timeout. A key the structural hash already proves
+/// correct needs no solver and is verified whatever the deadline.
+///
+/// # Errors
+///
+/// Returns [`CamoError::KeyLengthMismatch`] if the key has the wrong width.
+pub fn verify_key_until(
+    original: &Netlist,
+    keyed: &KeyedNetlist,
+    key: &[bool],
+    deadline: Instant,
+) -> Result<Option<KeyVerification>, CamoError> {
+    verify(original, keyed, key, Some(deadline))
+}
+
+fn verify(
+    original: &Netlist,
+    keyed: &KeyedNetlist,
+    key: &[bool],
+    deadline: Option<Instant>,
+) -> Result<Option<KeyVerification>, CamoError> {
     let resolved = keyed.resolve(key)?;
-    let functionally_equivalent = match affected_outputs(keyed, mode) {
-        Some(outputs) => sat_equivalent_on(original, &resolved, &outputs),
-        None => sat_equivalent(original, &resolved),
+    let Some(proof) = miter(original, &resolved, deadline) else {
+        return Ok(None);
     };
+    let functionally_equivalent = proof.equivalent();
     let sampled_error_rate = if functionally_equivalent {
         0.0
     } else {
         sampled_error(original, &resolved, 64)
     };
-    Ok(KeyVerification {
+    Ok(Some(KeyVerification {
         structurally_correct: keyed.key_is_structurally_correct(key),
         functionally_equivalent,
         sampled_error_rate,
-    })
+    }))
 }
 
-/// Exact combinational equivalence via a SAT miter (both netlists must have
-/// identical interfaces).
+/// Exact combinational equivalence of two netlists with the same
+/// interface (inputs and outputs matched by position).
 pub fn sat_equivalent(a: &Netlist, b: &Netlist) -> bool {
-    assert_eq!(a.inputs().len(), b.inputs().len(), "interface mismatch");
-    assert_eq!(a.outputs().len(), b.outputs().len(), "interface mismatch");
-    let mut solver = Solver::new();
-    let diff = {
-        let mut enc = CircuitEncoder::new(&mut solver);
-        let ca = encode_plain(&mut enc, a);
-        let cb = encode_plain(&mut enc, b);
-        for (x, y) in ca.0.iter().zip(&cb.0) {
-            enc.equal(*x, *y);
-        }
-        enc.miter(&ca.1, &cb.1)
-    };
-    solver.add_clause(&[diff]);
-    solver.solve() == SolveResult::Unsat
-}
-
-/// Exact equivalence of `a` and `b` restricted to `outputs` (node ids
-/// valid in both netlists — they must share an id space, as an original
-/// and its resolved keyed clone do). Each side contributes the fanin
-/// cone of those outputs; primary inputs present in both cones are
-/// unified, and an input only one side reads stays free — if the other
-/// side truly ignores it the miter stays UNSAT, and any dependence it
-/// could witness is a real inequivalence.
-pub fn sat_equivalent_on(a: &Netlist, b: &Netlist, outputs: &[NodeId]) -> bool {
-    let (ca, ma) = a.cone_of(outputs);
-    let (cb, mb) = b.cone_of(outputs);
-    let mut solver = Solver::new();
-    let diff = {
-        let mut enc = CircuitEncoder::new(&mut solver);
-        let (ia, oa) = encode_plain(&mut enc, &ca);
-        let (ib, ob) = encode_plain(&mut enc, &cb);
-        let by_full: HashMap<usize, Lit> = ca
-            .inputs()
-            .iter()
-            .zip(&ia)
-            .map(|(&n, &lit)| (ma.to_full(n).index(), lit))
-            .collect();
-        for (&n, &lit) in cb.inputs().iter().zip(&ib) {
-            if let Some(&la) = by_full.get(&mb.to_full(n).index()) {
-                enc.equal(la, lit);
-            }
-        }
-        enc.miter(&oa, &ob)
-    };
-    solver.add_clause(&[diff]);
-    solver.solve() == SolveResult::Unsat
-}
-
-/// Encodes an ordinary netlist; returns (input lits, output lits).
-fn encode_plain(enc: &mut CircuitEncoder<'_, Solver>, nl: &Netlist) -> (Vec<Lit>, Vec<Lit>) {
-    // Reuse the keyed encoder with an empty key by wrapping the netlist in
-    // a keyless KeyedNetlist.
-    let keyed = KeyedNetlist::new(nl.clone(), Vec::new(), 0);
-    let copy = encode_keyed(enc, &keyed, &[]);
-    (copy.inputs, copy.outputs)
+    miter(a, b, None)
+        .expect("an unbounded check always settles")
+        .equivalent()
 }
 
 /// Fraction of `blocks`×64 random patterns where the two netlists disagree
@@ -160,11 +131,14 @@ pub fn sampled_error(a: &Netlist, b: &Netlist, blocks: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode::encode_keyed;
+    use crate::strash::Proof;
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::bench_format::{parse_bench, C17_BENCH};
-    use gshe_logic::Bf2;
+    use gshe_logic::{Bf2, GeneratorConfig, NetlistGenerator};
+    use gshe_sat::{CircuitEncoder, SolveResult, Solver};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn identical_netlists_are_equivalent() {
@@ -202,48 +176,126 @@ mod tests {
         let picks = select_gates(&nl, 1.0, 2);
         let mut rng = StdRng::seed_from_u64(2);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
-        let mut key = keyed.correct_key();
-        for b in key.iter_mut() {
-            *b = !*b;
-        }
+        let key = flipped(&keyed.correct_key());
         let v = verify_key(&nl, &keyed, &key).unwrap();
         assert!(!v.structurally_correct);
         assert!(!v.functionally_equivalent);
         assert!(v.sampled_error_rate > 0.0);
     }
 
-    /// Cone-scoped verification returns the exact verdict of the
-    /// full-interface proof, for correct keys, near-miss keys (one cell
-    /// flipped), and fully wrong keys, on a netlist whose cloaked cells
-    /// affect a proper subset of the outputs (so the scoping engages).
+    fn flipped(key: &[bool]) -> Vec<bool> {
+        key.iter().map(|b| !b).collect()
+    }
+
+    fn generated(seed: u64) -> Netlist {
+        NetlistGenerator::new(GeneratorConfig::new("sv", 12, 8, 120).with_seed(seed))
+            .unwrap()
+            .generate()
+    }
+
+    /// Regression: cone-scoped verification once looked up the keyed
+    /// netlist's output ids in the original's id space, so any scheme that
+    /// inserts gates (INV/BUF cells, complemented cells, the NAND-tree
+    /// XOR) reported correct keys as wrong or indexed out of bounds. Each
+    /// generator seed cloaks an output gate, the placement that made
+    /// scoping engage.
     #[test]
     fn scoped_verification_matches_full() {
-        use gshe_logic::{GeneratorConfig, NetlistGenerator};
-        let nl = NetlistGenerator::new(GeneratorConfig::new("sv", 12, 8, 120).with_seed(9))
-            .unwrap()
-            .generate();
-        // Cloak an output gate directly: its influence is exactly the
-        // outputs that read it — a proper subset — where a random
-        // interior pick percolates to every output on this topology.
-        let picks = vec![nl.outputs()[0]];
-        let mut rng = StdRng::seed_from_u64(5);
+        for seed in 0..20 {
+            let nl = generated(seed);
+            let picks = vec![nl.outputs()[0]];
+            for scheme in CamoScheme::ALL {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let Ok(keyed) = camouflage(&nl, &picks, scheme, &mut rng) else {
+                    continue;
+                };
+                let correct = keyed.correct_key();
+                let v = verify_key_scoped(&nl, &keyed, &correct, CoiMode::On).unwrap();
+                assert!(v.functionally_equivalent, "{scheme} seed {seed}");
+                let mut near = correct.clone();
+                near[0] = !near[0];
+                for key in [near, flipped(&correct)] {
+                    let full = verify_key(&nl, &keyed, &key).unwrap();
+                    let scoped = verify_key_scoped(&nl, &keyed, &key, CoiMode::On).unwrap();
+                    assert_eq!(full, scoped, "{scheme} seed {seed} key {key:?}");
+                }
+            }
+        }
+    }
+
+    /// The textbook two-copy miter, built only from the public encoders:
+    /// the keyed circuit under constant key literals against the original
+    /// as a keyless circuit, inputs tied, every output mitered.
+    fn reference_equivalent(original: &Netlist, keyed: &KeyedNetlist, key: &[bool]) -> bool {
+        let mut solver = Solver::new();
+        let diff = {
+            let mut enc = CircuitEncoder::new(&mut solver);
+            let key_lits: Vec<_> = key.iter().map(|&b| enc.constant(b)).collect();
+            let locked = encode_keyed(&mut enc, keyed, &key_lits);
+            let plain = KeyedNetlist::new(original.clone(), Vec::new(), 0);
+            let clear = encode_keyed(&mut enc, &plain, &[]);
+            for (&x, &y) in locked.inputs.iter().zip(&clear.inputs) {
+                enc.equal(x, y);
+            }
+            enc.miter(&locked.outputs, &clear.outputs)
+        };
+        solver.add_clause(&[diff]);
+        solver.solve() == SolveResult::Unsat
+    }
+
+    /// The strashed verdict equals the reference miter's on the correct
+    /// key, near-miss keys and random keys of every scheme; the correct
+    /// key never needs a solver.
+    #[test]
+    fn strashed_miter_matches_reference_miter() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut disagreements = Vec::new();
+        for seed in 0..4 {
+            let nl = generated(100 + seed);
+            let picks = select_gates(&nl, 0.15, seed);
+            for scheme in CamoScheme::ALL {
+                let keyed = camouflage(&nl, &picks, scheme, &mut rng).unwrap();
+                let correct = keyed.correct_key();
+                let resolved = keyed.resolve(&correct).unwrap();
+                assert_eq!(miter(&nl, &resolved, None), Some(Proof::Hashed), "{scheme}");
+                let mut keys = vec![correct.clone()];
+                for bit in 0..keyed.key_len().min(4) {
+                    let mut near = correct.clone();
+                    near[bit] = !near[bit];
+                    keys.push(near);
+                }
+                keys.extend((0..8).map(|_| {
+                    (0..keyed.key_len())
+                        .map(|_| rng.gen_bool(0.5))
+                        .collect::<Vec<_>>()
+                }));
+                for key in keys {
+                    let got = verify_key(&nl, &keyed, &key)
+                        .unwrap()
+                        .functionally_equivalent;
+                    if got != reference_equivalent(&nl, &keyed, &key) {
+                        disagreements.push(format!("{scheme} seed {seed} key {key:?}"));
+                    }
+                }
+            }
+        }
+        assert!(disagreements.is_empty(), "{disagreements:#?}");
+    }
+
+    /// A deadline that has already passed stops any key the hash cannot
+    /// settle, and never a key it can.
+    #[test]
+    fn passed_deadline_times_out_only_when_a_solve_is_needed() {
+        let nl = parse_bench(C17_BENCH).unwrap();
+        let picks = select_gates(&nl, 1.0, 2);
+        let mut rng = StdRng::seed_from_u64(2);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
-        assert!(
-            affected_outputs(&keyed, CoiMode::On).is_some(),
-            "placement must give the scoped path a proper output subset"
-        );
+        let past = Instant::now();
+        let wrong = flipped(&keyed.correct_key());
+        assert_eq!(verify_key_until(&nl, &keyed, &wrong, past).unwrap(), None);
         let correct = keyed.correct_key();
-        let mut near = correct.clone();
-        near[0] = !near[0];
-        let mut wrong = correct.clone();
-        for b in wrong.iter_mut() {
-            *b = !*b;
-        }
-        for key in [&correct, &near, &wrong] {
-            let full = verify_key(&nl, &keyed, key).unwrap();
-            let scoped = verify_key_scoped(&nl, &keyed, key, CoiMode::On).unwrap();
-            assert_eq!(full, scoped, "verdicts diverged for key {key:?}");
-        }
+        let v = verify_key_until(&nl, &keyed, &correct, past).unwrap();
+        assert_eq!(v, Some(verify_key(&nl, &keyed, &correct).unwrap()));
     }
 
     #[test]

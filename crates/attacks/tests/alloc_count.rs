@@ -13,17 +13,32 @@ use gshe_logic::PatternBlock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// Counts every allocation (and growing reallocation) through the global
-/// allocator.
+/// Counts every allocation (and growing reallocation) the *current
+/// thread* makes through the global allocator while counting is on. Per
+/// thread, so the test harness and tests running in parallel cannot add
+/// to a measurement; `const` initialisers, so reaching the counters never
+/// allocates.
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: allocations during thread teardown find no counter.
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,12 +47,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -45,10 +60,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocations `f` makes on this thread.
 fn allocs_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    ALLOCS.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    COUNTING.with(|on| on.set(false));
+    ALLOCS.with(|n| n.get())
 }
 
 #[test]

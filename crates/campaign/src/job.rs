@@ -15,7 +15,7 @@
 
 use crate::cache::{CachedOracle, OracleCache};
 use gshe_attacks::{
-    cone_inputs, verify_key_scoped, AttackConfig, AttackKind, AttackRunner, AttackStatus, CoiMode,
+    cone_inputs, verify_key_until, AttackConfig, AttackKind, AttackRunner, AttackStatus, CoiMode,
     OracleStack, SimplifyMode,
 };
 use gshe_camo::{camouflage, select_gates, CamoScheme, KeyedNetlist};
@@ -272,7 +272,7 @@ pub enum JobKind {
 pub struct JobSpec {
     /// What to compute.
     pub kind: JobKind,
-    /// Wall-clock budget for the job's attack phase.
+    /// Wall-clock budget for the job's attack and key verification.
     pub timeout: Duration,
 }
 
@@ -603,20 +603,7 @@ pub fn run_job(spec: &JobSpec, ctx: &JobContext) -> JobResult {
             result.iterations = out.iterations;
             result.solver_stats = out.solver_stats;
             if let Some(key) = &out.key {
-                // Scoped to the cloaked cells' affected-output cones
-                // when the job's COI mode engages — at superblue scale
-                // the full-interface UNSAT proof would dwarf the
-                // cone-projected attack it is checking.
-                match verify_key_scoped(nl, &keyed, key, ctx.coi_mode) {
-                    Ok(v) => {
-                        result.key_recovered = v.functionally_equivalent;
-                        result.output_error_rate = v.sampled_error_rate;
-                    }
-                    Err(e) => {
-                        result.status = JobStatus::Failed;
-                        result.error = Some(format!("verification failed: {e}"));
-                    }
-                }
+                record_verification(&mut result, nl, &keyed, key, start + spec.timeout);
             }
         }
         JobKind::DeviceDelay { i_s, samples, seed } => {
@@ -651,6 +638,33 @@ pub fn run_job(spec: &JobSpec, ctx: &JobContext) -> JobResult {
     }
     result.elapsed = start.elapsed();
     result
+}
+
+/// Verifies a recovered key into `result`, inside the job's budget: a
+/// verification still running at `deadline` reports the job
+/// [`JobStatus::TimedOut`] instead of blocking its worker.
+fn record_verification(
+    result: &mut JobResult,
+    original: &Netlist,
+    keyed: &KeyedNetlist,
+    key: &[bool],
+    deadline: Instant,
+) {
+    let _span = gshe_obs::span("job.verify");
+    match verify_key_until(original, keyed, key, deadline) {
+        Ok(Some(v)) => {
+            result.key_recovered = v.functionally_equivalent;
+            result.output_error_rate = v.sampled_error_rate;
+        }
+        Ok(None) => {
+            result.status = JobStatus::TimedOut;
+            result.error = Some("key verification timed out".to_string());
+        }
+        Err(e) => {
+            result.status = JobStatus::Failed;
+            result.error = Some(format!("verification failed: {e}"));
+        }
+    }
 }
 
 /// Samples per deadline check in budgeted Monte Carlo jobs.
@@ -716,6 +730,34 @@ mod tests {
         let picks = select_gates(&nl, 1.0, 3);
         let mut rng = StdRng::seed_from_u64(0);
         gshe_camo::camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap()
+    }
+
+    /// A key the structural hash cannot settle, met with a deadline that
+    /// has already passed, ends the job as timed out, not blocked.
+    #[test]
+    fn verification_past_the_deadline_times_out() {
+        let keyed = tiny_keyed();
+        let original = keyed.resolve(&keyed.correct_key()).unwrap();
+        let wrong: Vec<bool> = keyed.correct_key().iter().map(|b| !b).collect();
+        let mut result = JobResult {
+            spec: JobSpec {
+                kind: attack_kind(0),
+                timeout: Duration::ZERO,
+            },
+            status: JobStatus::Completed,
+            key_recovered: false,
+            queries: 0,
+            iterations: 0,
+            output_error_rate: f64::NAN,
+            measurement: f64::NAN,
+            elapsed: Duration::ZERO,
+            solver_stats: SolverStats::default(),
+            error: None,
+        };
+        record_verification(&mut result, &original, &keyed, &wrong, Instant::now());
+        assert_eq!(result.status, JobStatus::TimedOut);
+        assert_eq!(result.error.as_deref(), Some("key verification timed out"));
+        assert!(!result.key_recovered);
     }
 
     #[test]

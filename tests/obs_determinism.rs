@@ -61,7 +61,13 @@ fn deterministic_json_is_byte_identical_with_obs_enabled_and_disabled() {
     );
 
     // The instrumented run actually observed the hot layers.
-    for span in ["pool.task", "job.attack", "attack.solve", "attack.oracle"] {
+    for span in [
+        "pool.task",
+        "job.attack",
+        "job.verify",
+        "attack.solve",
+        "attack.oracle",
+    ] {
         assert!(
             trace.contains(&format!("\"name\":\"{span}\"")),
             "trace is missing `{span}` events"
