@@ -11,9 +11,9 @@
 //!    reached by some cloaked cell; the affected outputs are the primary
 //!    outputs so marked. Unaffected outputs are key-independent by
 //!    construction and need no miter at all.
-//! 2. **Cone extraction** — [`Netlist::cone_of`] over the affected
+//! 2. **Cone extraction** — [`Netlist::cone_of`](gshe_logic::Netlist::cone_of) over the affected
 //!    outputs yields a compact netlist containing exactly the transitive
-//!    fanin of those outputs, with an [`IdMap`] back to the full design.
+//!    fanin of those outputs, with an [`IdMap`](gshe_logic::IdMap) back to the full design.
 //! 3. **Key projection** — cloaked cells inside the cone are remapped to
 //!    contiguous key offsets; cells *outside* the cone reach no primary
 //!    output at all (otherwise that output would be affected), so any
@@ -373,8 +373,8 @@ impl Oracle for CoiOracle<'_> {
 mod tests {
     use super::*;
     use crate::metrics::verify_key;
-    use crate::oracle::NetlistOracle;
-    use crate::sat_attack::{sat_attack, AttackConfig, AttackStatus};
+    use crate::runner::{AttackConfig, AttackKind, AttackRunner, AttackStatus};
+    use crate::stack::OracleStack;
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::{Bf2, GeneratorConfig, Netlist, NetlistBuilder, NetlistGenerator};
     use rand::rngs::StdRng;
@@ -437,8 +437,8 @@ mod tests {
     fn cone_oracle_matches_full_oracle_on_affected_outputs() {
         let (nl, keyed) = split_design();
         let proj = CoiProjection::build(&keyed, CoiMode::On).unwrap();
-        let mut full = NetlistOracle::new(&nl);
-        let mut inner = NetlistOracle::new(&nl);
+        let mut full = OracleStack::exact(&nl);
+        let mut inner = OracleStack::exact(&nl);
         let mut cone = CoiOracle::new(&mut inner, &proj);
         assert_eq!(cone.num_inputs(), 2);
         assert_eq!(cone.num_outputs(), 1);
@@ -460,13 +460,11 @@ mod tests {
     fn expanded_cone_key_is_functionally_correct() {
         let (nl, keyed) = split_design();
         let proj = CoiProjection::build(&keyed, CoiMode::On).unwrap();
-        let mut inner = NetlistOracle::new(&nl);
+        let mut inner = OracleStack::exact(&nl);
         let mut cone_oracle = CoiOracle::new(&mut inner, &proj);
-        let out = sat_attack(
-            proj.keyed(),
-            &mut cone_oracle,
-            &AttackConfig::with_timeout_secs(10),
-        );
+        let runner =
+            AttackRunner::with_config(AttackKind::Sat, AttackConfig::with_timeout_secs(10), 0);
+        let out = runner.run(proj.keyed(), &mut cone_oracle);
         assert_eq!(out.status, AttackStatus::Success);
         let full_key = proj.expand_key(out.key.as_ref().unwrap());
         assert_eq!(full_key.len(), keyed.key_len());
@@ -484,11 +482,11 @@ mod tests {
         let picks = select_gates(&nl, 0.05, 13);
         let mut rng = StdRng::seed_from_u64(13);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
-        let base = AttackConfig::with_timeout_secs(20);
-        let mut o1 = NetlistOracle::new(&nl);
-        let off = sat_attack(&keyed, &mut o1, &base.with_coi(CoiMode::Off));
-        let mut o2 = NetlistOracle::new(&nl);
-        let on = sat_attack(&keyed, &mut o2, &base.with_coi(CoiMode::On));
+        let [off, on] = [CoiMode::Off, CoiMode::On].map(|coi| {
+            let config = AttackConfig::with_timeout_secs(20).with_coi(coi);
+            AttackRunner::with_config(AttackKind::Sat, config, 0)
+                .run(&keyed, &mut OracleStack::exact(&nl))
+        });
         assert_eq!(off.status, AttackStatus::Success);
         assert_eq!(on.status, AttackStatus::Success);
         for out in [&off, &on] {

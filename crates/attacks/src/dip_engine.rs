@@ -1,15 +1,16 @@
-//! The unified **DIP-refinement engine** behind all three oracle-guided
-//! attacks.
+//! The **DIP-refinement engine** behind
+//! [`AttackRunner::run`](crate::AttackRunner::run).
 //!
-//! [`sat_attack`](crate::sat_attack::sat_attack),
-//! [`double_dip_attack`](crate::double_dip::double_dip_attack), and
-//! [`appsat_attack`](crate::appsat::appsat_attack) are one algorithm with
-//! three policies: encode key-copy miters, repeatedly solve for a
-//! discriminating input pattern (DIP), resolve it through the oracle, and
-//! constrain every key copy to reproduce the observation until the miter
-//! goes UNSAT. This module hosts that loop exactly once; the policy decides
-//! the miter shape (two copies vs. Double DIP's four-copy double miter with
-//! a single-DIP mop-up phase) and the per-round extras (AppSAT's random
+//! The oracle-guided SAT attack \[8\], Double DIP \[12\] and AppSAT \[11\]
+//! are one algorithm with three policies ([`AttackKind`](crate::AttackKind)):
+//! encode key-copy miters, repeatedly solve for a discriminating input
+//! pattern (DIP) — an input on which two key copies disagree — resolve it
+//! through the oracle, and constrain every key copy to reproduce the
+//! observation until the miter goes UNSAT. Any key consistent with the accumulated I/O
+//! constraints is then functionally correct (for a deterministic oracle).
+//! This module hosts that loop exactly once; the policy decides the miter
+//! shape (two copies vs. Double DIP's four-copy double miter with a
+//! single-DIP mop-up phase) and the per-round extras (AppSAT's random
 //! reinforcement and approximate early exit).
 //!
 //! ## Batched DIP discovery
@@ -29,11 +30,9 @@
 //! are sound to keep permanently: once a DIP's observation pins every
 //! copy to the same constants, the agreement is implied.
 //!
-//! At `dip_batch = 1` (the default) the engine performs the *identical*
-//! operation sequence as the historical per-attack loops — same variable
-//! allocation, solve, scalar `Oracle::query`, and constraint order — so
-//! seeded outcomes (status, extracted key, query counts) are preserved
-//! bit-for-bit. Larger widths trade mildly weaker per-DIP pruning (a
+//! At `dip_batch = 1` (the default) every round is one solve, one scalar
+//! `Oracle::query` and one constraint pin, in the order of the classic
+//! one-DIP-per-iteration loop. Larger widths trade mildly weaker per-DIP pruning (a
 //! batch is discovered before its own observations constrain the miter)
 //! for the block-oracle and warm-resolve throughput win;
 //! [`DEFAULT_BATCH_WIDTH`] is the recommended setting for
@@ -45,7 +44,7 @@ use crate::encode::{
     encode_keyed_fixed, SigVal,
 };
 use crate::oracle::Oracle;
-use crate::sat_attack::{AttackConfig, AttackOutcome, AttackStatus};
+use crate::runner::{AttackConfig, AttackOutcome, AttackStatus};
 use gshe_camo::KeyedNetlist;
 use gshe_logic::{PatternBlock, Simulator};
 use gshe_sat::solver::Budget;
@@ -61,7 +60,7 @@ pub const DEFAULT_BATCH_WIDTH: usize = 16;
 
 /// How the shared refinement loop specializes into a concrete attack.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RefinePolicy {
+pub(crate) enum RefinePolicy {
     /// The plain SAT attack (Subramanyan et al.): one miter over two key
     /// copies, every DIP rules out at least one wrong key class.
     Single,
@@ -167,9 +166,8 @@ type Terminal = (AttackStatus, Option<Vec<bool>>);
 
 /// Runs the DIP-refinement loop for `policy` against `keyed`, resolving
 /// discriminating inputs through `oracle`, under `config`'s budgets and
-/// batch width. This is the single implementation all three public attack
-/// entry points delegate to.
-pub fn refine(
+/// batch width.
+pub(crate) fn refine(
     keyed: &KeyedNetlist,
     oracle: &mut dyn Oracle,
     config: &AttackConfig,
@@ -618,8 +616,7 @@ fn appsat_round(
 mod tests {
     use super::*;
     use crate::metrics::verify_key;
-    use crate::oracle::{NetlistOracle, StochasticOracle};
-    use crate::sat_attack::sat_attack;
+    use crate::stack::OracleStack;
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::{GeneratorConfig, Netlist, NetlistGenerator};
 
@@ -640,7 +637,7 @@ mod tests {
         let (nl, keyed) = keyed_instance(2);
         for width in [1usize, 2, 16, 64] {
             let config = AttackConfig::with_timeout_secs(30).with_dip_batch(width);
-            let mut oracle = NetlistOracle::new(&nl);
+            let mut oracle = OracleStack::exact(&nl);
             let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
             assert_eq!(out.status, AttackStatus::Success, "width {width}");
             let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
@@ -652,26 +649,10 @@ mod tests {
     }
 
     #[test]
-    fn width_one_is_the_historical_sat_attack() {
-        // The `sat_attack` delegation and a direct width-1 engine call must
-        // be indistinguishable on a deterministic instance.
-        let (nl, keyed) = keyed_instance(3);
-        let config = AttackConfig::with_timeout_secs(30);
-        let mut o1 = NetlistOracle::new(&nl);
-        let via_entry = sat_attack(&keyed, &mut o1, &config);
-        let mut o2 = NetlistOracle::new(&nl);
-        let via_engine = refine(&keyed, &mut o2, &config, &RefinePolicy::Single);
-        assert_eq!(via_entry.status, via_engine.status);
-        assert_eq!(via_entry.key, via_engine.key);
-        assert_eq!(via_entry.iterations, via_engine.iterations);
-        assert_eq!(via_entry.queries, via_engine.queries);
-    }
-
-    #[test]
     fn batched_double_dip_recovers_a_correct_key() {
         let (nl, keyed) = keyed_instance(4);
         let config = AttackConfig::with_timeout_secs(30).with_dip_batch(DEFAULT_BATCH_WIDTH);
-        let mut oracle = NetlistOracle::new(&nl);
+        let mut oracle = OracleStack::exact(&nl);
         let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::DoubleDip);
         assert_eq!(out.status, AttackStatus::Success);
         let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
@@ -686,7 +667,7 @@ mod tests {
         let mut broken = 0;
         let trials = 3;
         for seed in 0..trials {
-            let mut oracle = StochasticOracle::new(&keyed, 0.25, seed);
+            let mut oracle = OracleStack::noisy(&keyed, keyed.uniform_error_profile(0.25), seed);
             let config = AttackConfig::with_timeout_secs(20).with_dip_batch(16);
             let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
             let failed = match out.status {
@@ -726,7 +707,7 @@ mod tests {
         let keyed = KeyedNetlist::new(nl.clone(), vec![gate], 4);
         for width in [1usize, 2, 16] {
             let config = AttackConfig::with_timeout_secs(10).with_dip_batch(width);
-            let mut oracle = NetlistOracle::new(&nl);
+            let mut oracle = OracleStack::exact(&nl);
             let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
             assert_eq!(out.status, AttackStatus::Success, "width {width}");
             let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
@@ -759,7 +740,7 @@ mod tests {
         let keyed = KeyedNetlist::new(nl.clone(), vec![gate], 4);
         for width in [1usize, 4, 16] {
             let config = AttackConfig::with_timeout_secs(10).with_dip_batch(width);
-            let mut oracle = NetlistOracle::new(&nl);
+            let mut oracle = OracleStack::exact(&nl);
             let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
             assert_eq!(out.status, AttackStatus::Success, "width {width}");
             let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
@@ -776,9 +757,70 @@ mod tests {
             max_iterations: Some(3),
             ..AttackConfig::with_timeout_secs(30).with_dip_batch(64)
         };
-        let mut oracle = NetlistOracle::new(&nl);
+        let mut oracle = OracleStack::exact(&nl);
         let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
         assert!(out.iterations <= 3, "{} iterations", out.iterations);
         assert_eq!(out.status, AttackStatus::Timeout);
+    }
+
+    #[test]
+    fn appsat_early_exit_with_loose_threshold() {
+        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 9, 5, 100).with_seed(43))
+            .unwrap()
+            .generate();
+        let picks = select_gates(&nl, 0.4, 23);
+        let mut rng = StdRng::seed_from_u64(23);
+        let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
+        let mut oracle = OracleStack::exact(&nl);
+        let policy = RefinePolicy::AppSat {
+            reinforce_every: 1,
+            samples_per_round: 48,
+            error_threshold: 1.0, // accept anything at the first round
+            seed: 0xA115A7,
+        };
+        let out = refine(&keyed, &mut oracle, &AttackConfig::default(), &policy);
+        assert_eq!(out.status, AttackStatus::Success);
+        // Early exit: bounded iterations.
+        assert!(out.iterations <= 1, "{} iterations", out.iterations);
+    }
+
+    #[test]
+    fn stochastic_oracle_breaks_appsat_consistency() {
+        // fn. 6: probabilistic computation violates AppSAT's consistency
+        // assumption. With a noisy oracle, repeated queries on similar
+        // patterns contradict each other and the constraint set collapses
+        // (Inconsistent), or the returned key is functionally wrong.
+        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 8, 4, 60).with_seed(47))
+            .unwrap()
+            .generate();
+        let picks = select_gates(&nl, 0.5, 29);
+        let mut rng = StdRng::seed_from_u64(29);
+        let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
+        let mut broken = 0;
+        let trials = 4;
+        for seed in 0..trials {
+            let mut oracle = OracleStack::noisy(&keyed, keyed.uniform_error_profile(0.25), seed);
+            let config = AttackConfig::with_timeout_secs(20);
+            let policy = RefinePolicy::AppSat {
+                reinforce_every: 2,
+                samples_per_round: 32,
+                error_threshold: 0.0,
+                seed,
+            };
+            let out = refine(&keyed, &mut oracle, &config, &policy);
+            let failed = match out.status {
+                AttackStatus::Inconsistent => true,
+                AttackStatus::Success => {
+                    let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
+                    !v.functionally_equivalent
+                }
+                _ => true,
+            };
+            broken += failed as usize;
+        }
+        assert!(
+            broken >= trials as usize - 1,
+            "AppSAT survived noise too often"
+        );
     }
 }

@@ -3,25 +3,21 @@
 //! Analytical attacks against camouflaged/locked netlists, reproducing the
 //! paper's Sec. V evaluation apparatus:
 //!
-//! * the oracle-guided **SAT attack** of Subramanyan et al. (\[8\], \[37\]) —
-//!   miter-based DIP refinement ([`sat_attack`]);
-//! * **Double DIP** (Shen & Zhou \[12\]) — each iteration rules out at least
-//!   two incorrect keys ([`double_dip_attack`]);
-//! * an **AppSAT**-style approximate attack (Shamsi et al. \[11\]) — SAT
-//!   attack interleaved with random-query error estimation and early exit
-//!   ([`appsat_attack`]);
-//! * the shared [`dip_engine`] all three delegate to: one
-//!   miter/constraint-accumulation loop parameterized by a
-//!   [`RefinePolicy`], discovering up to [`AttackConfig::dip_batch`] DIPs
-//!   per solver round and resolving each batch through **one**
-//!   bit-parallel [`Oracle::query_block`] call;
-//! * oracles as a layered [`stack`]: a bit-parallel base (exact or
-//!   fault-injecting) with an optional key-rotation layer, composed via
-//!   [`OracleStack`]. The legacy chips are thin adapters: a perfect
-//!   working chip ([`NetlistOracle`]), the tunable **stochastic** GSHE
-//!   chip of Sec. V-B ([`StochasticOracle`]) whose per-cell error rates
-//!   superpose into correlated output errors, and the key-rotating chip
-//!   of Sec. V-C ([`RotatingOracle`]); [`OracleStack::rotating_noisy`]
+//! * one entry point, [`AttackRunner::run`], for the three oracle-guided
+//!   attacks ([`AttackKind`]): the **SAT attack** of Subramanyan et al.
+//!   (\[8\], \[37\]), **Double DIP** (Shen & Zhou \[12\]), which rules out
+//!   at least two incorrect keys per iteration, and an **AppSAT**-style
+//!   approximate attack (Shamsi et al. \[11\]), which interleaves
+//!   random-query error estimation with early exit;
+//! * the shared [`dip_engine`] behind it: one miter/constraint-accumulation
+//!   loop under three policies, discovering up to
+//!   [`AttackConfig::dip_batch`] DIPs per solver round and resolving each
+//!   batch through **one** bit-parallel [`Oracle::query_block`] call;
+//! * the working chip as one layered [`OracleStack`]: a bit-parallel base
+//!   (exact, or fault-injecting per an error profile — the tunable
+//!   **stochastic** GSHE chip of Sec. V-B, whose per-cell error rates
+//!   superpose into correlated output errors) with an optional
+//!   key-rotation layer (the Sec. V-C chip); [`OracleStack::rotating_noisy`]
 //!   is the combined rotating + stochastic defense;
 //! * key verification by exact equivalence on one structurally hashed
 //!   miter ([`verify_key`]): a key that restores the defender's structure
@@ -35,26 +31,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod appsat;
 pub mod coi;
 pub mod dip_engine;
-pub mod double_dip;
 pub mod encode;
 pub mod metrics;
 pub mod oracle;
 pub mod runner;
-pub mod sat_attack;
 pub mod stack;
 mod strash;
 
-pub use appsat::{appsat_attack, AppSatConfig};
 pub use coi::{cone_inputs, CoiMode, CoiOracle, CoiProjection, COI_AUTO_THRESHOLD};
-pub use dip_engine::{RefinePolicy, DEFAULT_BATCH_WIDTH};
-pub use double_dip::double_dip_attack;
+pub use dip_engine::DEFAULT_BATCH_WIDTH;
 pub use encode::{assert_valid_key_codes, encode_keyed, encode_keyed_fixed, EncodedCopy};
 pub use gshe_sat::{RestartMode, SimplifyMode};
 pub use metrics::{verify_key, verify_key_scoped, verify_key_until, KeyVerification};
-pub use oracle::{NetlistOracle, Oracle, RotatingOracle, StochasticOracle};
-pub use runner::{AttackKind, AttackRunner};
-pub use sat_attack::{sat_attack, AttackConfig, AttackOutcome, AttackStatus};
+pub use oracle::Oracle;
+pub use runner::{AttackConfig, AttackKind, AttackOutcome, AttackRunner, AttackStatus};
 pub use stack::{EvalLayer, OracleStack};

@@ -1,17 +1,12 @@
-//! Attack oracles: the working chip the adversary owns.
+//! The [`Oracle`] trait: the working chip the adversary owns.
 //!
-//! Every oracle here is a thin adapter over the layered
-//! [`OracleStack`](crate::stack::OracleStack) — base evaluation layer
-//! (deterministic or noisy, always bit-parallel), optional key-rotation
-//! layer — so block queries answer 64 patterns per pass while query
-//! accounting stays per-pattern. The adapters exist to keep the
-//! historical construction APIs; new code (and the campaign engine's job
-//! materialization) composes the stack directly, which is how the
-//! *combined* rotating + stochastic defense is built.
+//! Every chip — exact, stochastic (Sec. V-B), key-rotating (Sec. V-C) or
+//! both at once — is an [`OracleStack`](crate::OracleStack) composition;
+//! the campaign cache and the cone-of-influence projection
+//! ([`crate::CoiOracle`]) wrap another oracle. Block queries answer up to
+//! 64 patterns per call while query accounting stays per-pattern.
 
-use crate::stack::OracleStack;
-use gshe_camo::KeyedNetlist;
-use gshe_logic::{ErrorProfile, Netlist, NodeId, PatternBlock};
+use gshe_logic::PatternBlock;
 
 /// A black-box working chip: apply inputs, observe outputs.
 pub trait Oracle {
@@ -30,7 +25,8 @@ pub trait Oracle {
     ///
     /// The default implementation loops over [`Oracle::query`], so every
     /// pattern still counts as one query. Block-capable oracles (e.g.
-    /// any [`OracleStack`] composition over the bit-parallel engine)
+    /// any [`OracleStack`](crate::OracleStack) composition over the
+    /// bit-parallel engine)
     /// override this to answer all 64 patterns per pass while keeping the
     /// same query accounting.
     fn query_block(&mut self, block: &PatternBlock) -> Vec<u64> {
@@ -48,166 +44,16 @@ pub trait Oracle {
     }
 }
 
-/// Implements [`Oracle`] by delegating every method to the adapter's
-/// inner [`OracleStack`].
-macro_rules! delegate_oracle_to_stack {
-    ($adapter:ty) => {
-        impl Oracle for $adapter {
-            fn query(&mut self, inputs: &[bool]) -> Vec<bool> {
-                self.stack.query(inputs)
-            }
-
-            fn query_block(&mut self, block: &PatternBlock) -> Vec<u64> {
-                self.stack.query_block(block)
-            }
-
-            fn num_inputs(&self) -> usize {
-                self.stack.num_inputs()
-            }
-
-            fn num_outputs(&self) -> usize {
-                self.stack.num_outputs()
-            }
-
-            fn queries(&self) -> u64 {
-                self.stack.queries()
-            }
-        }
-    };
-}
-
-/// A perfect oracle backed by the original (unprotected) netlist: the
-/// bare exact base of the stack. Scratch buffers are hoisted into the
-/// stack, so repeated block queries reuse one allocation.
-#[derive(Debug, Clone)]
-pub struct NetlistOracle<'a> {
-    stack: OracleStack<'a>,
-}
-
-impl<'a> NetlistOracle<'a> {
-    /// Wraps the original design.
-    pub fn new(netlist: &'a Netlist) -> Self {
-        NetlistOracle {
-            stack: OracleStack::exact(netlist),
-        }
-    }
-}
-
-delegate_oracle_to_stack!(NetlistOracle<'_>);
-
-/// The stochastic GSHE chip of Sec. V-B: every cloaked cell computes its
-/// *correct* function but its output flips per evaluation according to an
-/// [`ErrorProfile`] (thermally induced stochastic switching, tunable per
-/// switch via I_S and the clock period). Errors at internal cells propagate
-/// and superpose, producing *stochastically correlated* behaviour at the
-/// primary outputs — precisely what breaks the consistency assumption of
-/// SAT-style attacks.
-///
-/// The noisy base of the stack, without a rotation layer: per-node rates
-/// live in a dense table, scalar queries keep the historical
-/// one-`gen_bool`-per-noisy-node stream (seeded runs reproduce across the
-/// refactor), and [`Oracle::query_block`] answers 64 patterns per engine
-/// pass with Bernoulli flip masks.
-#[derive(Debug, Clone)]
-pub struct StochasticOracle<'a> {
-    stack: OracleStack<'a>,
-    /// Uniform per-cell rate the oracle was built with ([`f64::NAN`] when
-    /// constructed from a heterogeneous profile).
-    error_rate: f64,
-}
-
-impl<'a> StochasticOracle<'a> {
-    /// Creates a stochastic chip over the *defender's* keyed netlist
-    /// (correct functions installed) with uniform per-cell `error_rate`
-    /// at every cloaked cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `error_rate` is outside `[0, 1]`.
-    pub fn new(keyed: &'a KeyedNetlist, error_rate: f64, seed: u64) -> Self {
-        let nodes: Vec<NodeId> = keyed.camo_gates().iter().map(|g| g.node).collect();
-        let profile = ErrorProfile::uniform_at(keyed.netlist().len(), &nodes, error_rate);
-        let mut oracle = Self::with_profile(keyed, profile, seed);
-        oracle.error_rate = error_rate;
-        oracle
-    }
-
-    /// Creates a stochastic chip with an arbitrary per-node
-    /// [`ErrorProfile`] — the "error rate for any switch can be tuned
-    /// individually" knob. Nodes outside the cloaked set may be noisy too
-    /// (e.g. device-derived profiles over a full GSHE fabric).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile does not cover the keyed netlist's nodes.
-    pub fn with_profile(keyed: &'a KeyedNetlist, profile: ErrorProfile, seed: u64) -> Self {
-        StochasticOracle {
-            stack: OracleStack::noisy(keyed, profile, seed),
-            error_rate: f64::NAN,
-        }
-    }
-
-    /// The uniform per-cell error rate, or the profile's maximum rate when
-    /// the oracle was built from a heterogeneous profile.
-    pub fn error_rate(&self) -> f64 {
-        if self.error_rate.is_nan() {
-            self.profile().max_rate()
-        } else {
-            self.error_rate
-        }
-    }
-
-    /// The installed per-node error profile (dense).
-    pub fn profile(&self) -> &ErrorProfile {
-        self.stack.profile().expect("noisy base carries a profile")
-    }
-}
-
-delegate_oracle_to_stack!(StochasticOracle<'_>);
-
-/// An oracle whose key rotates every `period` queries (dynamic functional
-/// obfuscation after Koteshwara et al. \[40\] — the Sec. V-C
-/// "dynamic camouflaging" defense). The first epoch uses the correct key;
-/// later epochs draw random keys, so answers from different epochs are
-/// mutually inconsistent — starving SAT attacks of a consistent solution
-/// space. Campaigns sweep the rotation `period` as a defense-side grid
-/// dimension (`rotation_periods` in `gshe-campaign`).
-///
-/// The rotation layer of the stack over the exact base; stack a noisy base
-/// underneath via [`OracleStack::rotating_noisy`] for the combined
-/// rotating + stochastic defense.
-#[derive(Debug, Clone)]
-pub struct RotatingOracle<'a> {
-    stack: OracleStack<'a>,
-}
-
-impl<'a> RotatingOracle<'a> {
-    /// Creates a rotating oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn new(keyed: &'a KeyedNetlist, period: u64, seed: u64) -> Self {
-        RotatingOracle {
-            stack: OracleStack::rotating(keyed, period, seed),
-        }
-    }
-
-    /// The configured rotation period (queries per epoch).
-    pub fn period(&self) -> u64 {
-        self.stack
-            .rotation_period()
-            .expect("rotating stack carries a period")
-    }
-}
-
-delegate_oracle_to_stack!(RotatingOracle<'_>);
-
 #[cfg(test)]
 mod tests {
+    //! The oracle contract on every stack base: query accounting, block
+    //! answers equal to the scalar loop, and the noise layer's statistics.
+
     use super::*;
-    use gshe_camo::{camouflage, select_gates, CamoScheme};
+    use crate::stack::OracleStack;
+    use gshe_camo::{camouflage, select_gates, CamoScheme, KeyedNetlist};
     use gshe_logic::bench_format::{parse_bench, C17_BENCH};
+    use gshe_logic::{ErrorProfile, Netlist};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -219,10 +65,28 @@ mod tests {
         (nl, keyed)
     }
 
+    fn noisy(keyed: &KeyedNetlist, rate: f64, seed: u64) -> OracleStack<'_> {
+        OracleStack::noisy(keyed, keyed.uniform_error_profile(rate), seed)
+    }
+
+    /// All 32 input patterns of c17.
+    fn c17_patterns() -> impl Iterator<Item = Vec<bool>> {
+        (0..32u32).map(|p| (0..5).map(|k| (p >> k) & 1 == 1).collect())
+    }
+
+    /// Scalar queries (over `reps` sweeps of all 32 patterns) on which
+    /// `oracle` disagrees with the clean netlist.
+    fn mismatches(oracle: &mut dyn Oracle, nl: &Netlist, reps: usize) -> usize {
+        (0..reps)
+            .flat_map(|_| c17_patterns())
+            .filter(|v| oracle.query(v) != nl.evaluate(v))
+            .count()
+    }
+
     #[test]
     fn netlist_oracle_counts_queries() {
         let nl = parse_bench(C17_BENCH).unwrap();
-        let mut o = NetlistOracle::new(&nl);
+        let mut o = OracleStack::exact(&nl);
         assert_eq!(o.queries(), 0);
         let y = o.query(&[false; 5]);
         assert_eq!(y.len(), 2);
@@ -234,63 +98,32 @@ mod tests {
     #[test]
     fn zero_error_stochastic_oracle_matches_original() {
         let (nl, keyed) = c17_keyed();
-        let mut o = StochasticOracle::new(&keyed, 0.0, 5);
-        for p in 0..32u32 {
-            let v: Vec<bool> = (0..5).map(|k| (p >> k) & 1 == 1).collect();
-            assert_eq!(o.query(&v), nl.evaluate(&v), "p={p}");
-        }
+        assert_eq!(mismatches(&mut noisy(&keyed, 0.0, 5), &nl, 1), 0);
     }
 
     #[test]
     fn high_error_oracle_disagrees_often() {
         let (nl, keyed) = c17_keyed();
-        let mut o = StochasticOracle::new(&keyed, 0.5, 5);
-        let mut mismatches = 0;
-        for rep in 0..20 {
-            for p in 0..32u32 {
-                let v: Vec<bool> = (0..5).map(|k| (p >> k) & 1 == 1).collect();
-                if o.query(&v) != nl.evaluate(&v) {
-                    mismatches += 1;
-                }
-                let _ = rep;
-            }
-        }
-        assert!(
-            mismatches > 100,
-            "only {mismatches} mismatches at 50% error"
-        );
+        let flips = mismatches(&mut noisy(&keyed, 0.5, 5), &nl, 20);
+        assert!(flips > 100, "only {flips} mismatches at 50% error");
     }
 
     #[test]
     fn small_error_rate_is_mostly_correct() {
         let (nl, keyed) = c17_keyed();
-        let mut o = StochasticOracle::new(&keyed, 0.02, 6);
-        let mut mismatches = 0usize;
-        let trials = 640usize;
-        for rep in 0..(trials / 32) {
-            for p in 0..32u32 {
-                let v: Vec<bool> = (0..5).map(|k| (p >> k) & 1 == 1).collect();
-                if o.query(&v) != nl.evaluate(&v) {
-                    mismatches += 1;
-                }
-                let _ = rep;
-            }
-        }
-        let rate = mismatches as f64 / trials as f64;
+        let flips = mismatches(&mut noisy(&keyed, 0.02, 6), &nl, 20);
         // 6 cells × 2% ≈ 11% worst-case output error; must be well below 30%.
+        let rate = flips as f64 / 640.0;
         assert!(rate < 0.3, "output error rate {rate}");
-        assert!(
-            mismatches > 0,
-            "2% per-cell error should show up in 640 queries"
-        );
+        assert!(flips > 0, "2% per-cell error should show up in 640 queries");
     }
 
     #[test]
     fn oracle_is_reproducible_per_seed() {
         let (_, keyed) = c17_keyed();
         let inputs = [true, false, true, true, false];
-        let mut a = StochasticOracle::new(&keyed, 0.3, 42);
-        let mut b = StochasticOracle::new(&keyed, 0.3, 42);
+        let mut a = noisy(&keyed, 0.3, 42);
+        let mut b = noisy(&keyed, 0.3, 42);
         for _ in 0..10 {
             assert_eq!(a.query(&inputs), b.query(&inputs));
         }
@@ -300,24 +133,22 @@ mod tests {
     #[should_panic(expected = "error rate")]
     fn error_rate_is_validated() {
         let (_, keyed) = c17_keyed();
-        let _ = StochasticOracle::new(&keyed, 1.5, 0);
+        let _ = noisy(&keyed, 1.5, 0);
     }
 
     #[test]
     fn block_query_matches_scalar_queries_and_counts() {
         let nl = parse_bench(C17_BENCH).unwrap();
-        let patterns: Vec<Vec<bool>> = (0..20u32)
-            .map(|p| (0..5).map(|k| (p >> k) & 1 == 1).collect())
-            .collect();
+        let patterns: Vec<Vec<bool>> = c17_patterns().take(20).collect();
         let block = PatternBlock::from_patterns(&patterns);
 
         // Bit-parallel override.
-        let mut fast = NetlistOracle::new(&nl);
+        let mut fast = OracleStack::exact(&nl);
         let lanes = fast.query_block(&block);
         assert_eq!(fast.queries(), 20, "block path must count every pattern");
 
         // Scalar reference.
-        let mut slow = NetlistOracle::new(&nl);
+        let mut slow = OracleStack::exact(&nl);
         for (k, p) in patterns.iter().enumerate() {
             let y = slow.query(p);
             for (o, &bit) in y.iter().enumerate() {
@@ -329,18 +160,19 @@ mod tests {
 
     #[test]
     fn stochastic_block_query_counts_per_pattern() {
-        // StochasticOracle's engine-backed query_block must count one
-        // query per pattern, and with zero error it must agree bit-for-bit
-        // with the deterministic bit-parallel path.
+        // The noisy base's engine-backed query_block must count one query
+        // per pattern, and with zero error it must agree bit-for-bit with
+        // the deterministic bit-parallel path.
         let (_, keyed) = c17_keyed();
-        let mut o = StochasticOracle::new(&keyed, 0.0, 1);
+        let mut o = noisy(&keyed, 0.0, 1);
         let block = PatternBlock::from_patterns(&[vec![false; 5], vec![true; 5]]);
         let lanes = o.query_block(&block);
         assert_eq!(o.queries(), 2);
         assert_eq!(lanes.len(), o.num_outputs());
-
-        let mut fast = NetlistOracle::new(keyed.netlist());
-        assert_eq!(fast.query_block(&block), lanes);
+        assert_eq!(
+            OracleStack::exact(keyed.netlist()).query_block(&block),
+            lanes
+        );
     }
 
     #[test]
@@ -348,8 +180,8 @@ mod tests {
         // At 50% per-cell error over six cloaked cells, a full block must
         // disagree with the clean chip on many lanes.
         let (nl, keyed) = c17_keyed();
-        let mut noisy = StochasticOracle::new(&keyed, 0.5, 9);
-        let mut clean = NetlistOracle::new(&nl);
+        let mut noisy = noisy(&keyed, 0.5, 9);
+        let mut clean = OracleStack::exact(&nl);
         let mut rng = StdRng::seed_from_u64(2);
         let mut flipped = 0u32;
         for _ in 0..8 {
@@ -367,13 +199,12 @@ mod tests {
 
     #[test]
     fn scalar_path_uses_a_dense_rate_table() {
-        // Satellite regression: the scalar path must not probe a per-node
-        // hash set. The oracle exposes its engine profile — a dense
-        // per-node rate vector covering *every* node, with the cloaked
-        // cells (and only those) noisy.
+        // The scalar path must not probe a per-node hash set: the noisy
+        // base's engine profile is a dense per-node rate vector covering
+        // *every* node, with the cloaked cells (and only those) noisy.
         let (_, keyed) = c17_keyed();
-        let o = StochasticOracle::new(&keyed, 0.25, 3);
-        let profile = o.profile();
+        let o = noisy(&keyed, 0.25, 3);
+        let profile = o.profile().expect("noisy base carries a profile");
         assert_eq!(profile.len(), keyed.netlist().len(), "table must be dense");
         let mut expected: Vec<_> = keyed.camo_gates().iter().map(|g| g.node).collect();
         expected.sort_unstable();
@@ -393,8 +224,8 @@ mod tests {
         // bit-for-bit.
         let (_, keyed) = c17_keyed();
         for period in [1u64, 7, 20] {
-            let mut fast = RotatingOracle::new(&keyed, period, 5);
-            let mut slow = RotatingOracle::new(&keyed, period, 5);
+            let mut fast = OracleStack::rotating(&keyed, period, 5);
+            let mut slow = OracleStack::rotating(&keyed, period, 5);
             let mut rng = StdRng::seed_from_u64(4);
             for round in 0..2 {
                 let block = PatternBlock::random(5, &mut rng);
@@ -423,8 +254,8 @@ mod tests {
         // more rotations must therefore agree between the twins.
         let (_, keyed) = c17_keyed();
         for period in [1u64, 7, 20] {
-            let mut fast = RotatingOracle::new(&keyed, period, 9);
-            let mut slow = RotatingOracle::new(&keyed, period, 9);
+            let mut fast = OracleStack::rotating(&keyed, period, 9);
+            let mut slow = OracleStack::rotating(&keyed, period, 9);
             let mut rng = StdRng::seed_from_u64(6);
             let block = PatternBlock::random_n(5, 50, &mut rng);
             let _ = fast.query_block(&block);
@@ -451,15 +282,11 @@ mod tests {
         let (nl, keyed) = c17_keyed();
         let target = keyed.camo_gates()[0].node;
         let profile = ErrorProfile::uniform_at(keyed.netlist().len(), &[target], 1.0);
-        let mut o = StochasticOracle::with_profile(&keyed, profile, 4);
-        assert!(o.error_rate() == 1.0, "max rate of the profile");
-        let mut disagreements = 0;
-        for p in 0..32u32 {
-            let v: Vec<bool> = (0..5).map(|k| (p >> k) & 1 == 1).collect();
-            if o.query(&v) != nl.evaluate(&v) {
-                disagreements += 1;
-            }
-        }
-        assert!(disagreements > 0, "a certain flip must reach an output");
+        let mut o = OracleStack::noisy(&keyed, profile, 4);
+        assert_eq!(o.profile().map(ErrorProfile::max_rate), Some(1.0));
+        assert!(
+            mismatches(&mut o, &nl, 1) > 0,
+            "a certain flip must reach an output"
+        );
     }
 }

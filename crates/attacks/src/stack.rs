@@ -20,9 +20,10 @@
 //!   stack only, the one configuration whose answers are memoizable.
 //!
 //! Every layer is `query_block`-first, so any composition answers 64
-//! patterns per pass end to end. The legacy oracles are thin adapters
-//! over the stack ([`crate::NetlistOracle`], [`crate::StochasticOracle`],
-//! [`crate::RotatingOracle`]) with byte-identical seeded behaviour.
+//! patterns per pass end to end. The constructors name the paper's chips:
+//! [`OracleStack::exact`] (the perfect working chip),
+//! [`OracleStack::noisy`] (Sec. V-B), [`OracleStack::rotating`]
+//! (Sec. V-C) and [`OracleStack::rotating_noisy`] (both defenses at once).
 //!
 //! ## Seed-salt composition
 //!
@@ -30,23 +31,20 @@
 //! the *same* caller seed with a layer-specific salt, so the layers
 //! compose without stealing each other's draws:
 //!
-//! * noise stream: `seed ^ 0x570C_4A57` (the historical
-//!   `StochasticOracle` derivation);
-//! * rotation key stream: `seed ^ 0xD07A7E` (the historical
-//!   `RotatingOracle` derivation).
+//! * noise stream: `seed ^` [`NOISE_SEED_SALT`];
+//! * rotation key stream: `seed ^` [`ROTATION_SEED_SALT`].
 //!
-//! A noise-only or rotation-only stack therefore reproduces its legacy
-//! oracle's stream exactly, and the combined stack draws both streams
-//! from one seed without perturbing either.
+//! The salts are plain constants, so a seeded chip answers the same way
+//! in every run, and the combined stack draws both streams from one seed
+//! without perturbing either.
 //!
 //! ## Noise-stream discipline under rotation
 //!
 //! The chip's reference semantics are *per query*: rotation counts
 //! queries, and the scalar noise stream draws one `gen_bool` per noisy
-//! node per query. A noise-only stack keeps the historical fast block
-//! path (one [`gshe_logic::bernoulli_mask`] per noisy node per pass — a
-//! different, equally valid sample stream, pinned by pre-stack
-//! campaigns). Once rotation is stacked on top, the block path switches
+//! node per query. A noise-only stack keeps the fast block path (one
+//! [`gshe_logic::bernoulli_mask`] per noisy node per pass — a different,
+//! equally valid sample stream, which seeded campaign results pin). Once rotation is stacked on top, the block path switches
 //! to the engine's **scalar-stream** segments
 //! ([`FaultSimulator::run_scalar_stream`]): gate evaluation stays
 //! 64-wide, but noise is drawn pattern-major, so `query_block` is
@@ -60,18 +58,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 
-/// Salt folded into the caller seed for the noise stream (the historical
-/// `StochasticOracle` derivation — seeded noise-only stacks reproduce).
+/// Salt folded into the caller seed for the noise stream.
 pub const NOISE_SEED_SALT: u64 = 0x570C_4A57;
 
-/// Salt folded into the caller seed for the rotation key stream (the
-/// historical `RotatingOracle` derivation).
+/// Salt folded into the caller seed for the rotation key stream.
 pub const ROTATION_SEED_SALT: u64 = 0xD0_7A7E;
 
 /// The stack's base layer: one bit-parallel evaluation pass over a
-/// netlist, exact or fault-injecting. The netlist is swappable in place
-/// ([`EvalLayer::install`]) so a rotation layer can re-resolve per epoch
-/// while scratch buffers — and, for the noisy base, the noise RNG stream —
+/// netlist, exact or fault-injecting. The netlist is swappable in place,
+/// so a rotation layer can re-resolve per epoch while scratch buffers — and, for the noisy base, the noise RNG stream —
 /// survive.
 #[derive(Debug, Clone)]
 pub enum EvalLayer<'a> {
@@ -221,8 +216,7 @@ pub struct OracleStack<'a> {
 }
 
 impl<'a> OracleStack<'a> {
-    /// The bare deterministic chip over the original netlist
-    /// (`NetlistOracle` semantics).
+    /// The bare deterministic chip over the original netlist.
     pub fn exact(netlist: &'a Netlist) -> Self {
         OracleStack {
             base: EvalLayer::exact(netlist),
@@ -233,9 +227,12 @@ impl<'a> OracleStack<'a> {
     }
 
     /// The stochastic chip of Sec. V-B: the defender's keyed netlist with
-    /// correct functions installed, flipping per `profile`
-    /// (`StochasticOracle` semantics; noise stream `seed ^`
-    /// [`NOISE_SEED_SALT`]).
+    /// correct functions installed, every node flipping per `profile`
+    /// (noise stream `seed ^` [`NOISE_SEED_SALT`]). Errors at internal
+    /// cells propagate and superpose into correlated output errors —
+    /// what breaks the consistency assumption of SAT-style attacks.
+    /// [`KeyedNetlist::uniform_error_profile`] is the uniform placement
+    /// on the cloaked cells.
     ///
     /// # Panics
     ///
@@ -250,9 +247,11 @@ impl<'a> OracleStack<'a> {
     }
 
     /// The key-rotating chip of Sec. V-C: correct key for the first epoch,
-    /// a fresh random key every `period` queries after that
-    /// (`RotatingOracle` semantics; key stream `seed ^`
-    /// [`ROTATION_SEED_SALT`]).
+    /// a fresh random key every `period` queries after that (dynamic
+    /// functional obfuscation after Koteshwara et al. \[40\]; key stream
+    /// `seed ^` [`ROTATION_SEED_SALT`]). Answers from different epochs are
+    /// mutually inconsistent, starving SAT attacks of a consistent
+    /// solution space.
     ///
     /// # Panics
     ///
@@ -270,8 +269,8 @@ impl<'a> OracleStack<'a> {
     /// The **combined defense**: a rotating chip whose switches also run
     /// in the stochastic regime — rotation layered over the noisy base.
     /// Key stream and noise stream derive from the same `seed` with their
-    /// respective salts, so either dimension alone reproduces its legacy
-    /// oracle's stream.
+    /// respective salts, so the key sequence is the one
+    /// [`OracleStack::rotating`] draws from that seed.
     ///
     /// # Panics
     ///
@@ -416,7 +415,6 @@ mod tests {
     use super::*;
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::bench_format::{parse_bench, C17_BENCH};
-    use gshe_logic::NodeId;
 
     fn c17_keyed() -> (Netlist, KeyedNetlist) {
         let nl = parse_bench(C17_BENCH).unwrap();
@@ -424,11 +422,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
         (nl, keyed)
-    }
-
-    fn cloaked_profile(keyed: &KeyedNetlist, rate: f64) -> ErrorProfile {
-        let nodes: Vec<NodeId> = keyed.camo_gates().iter().map(|g| g.node).collect();
-        ErrorProfile::uniform_at(keyed.netlist().len(), &nodes, rate)
     }
 
     #[test]
@@ -440,7 +433,7 @@ mod tests {
         // block) at a nonzero error rate.
         let (_, keyed) = c17_keyed();
         for period in [1u64, 7, 20] {
-            let profile = cloaked_profile(&keyed, 0.3);
+            let profile = keyed.uniform_error_profile(0.3);
             let mut fast = OracleStack::rotating_noisy(&keyed, profile.clone(), period, 5);
             let mut slow = OracleStack::rotating_noisy(&keyed, profile, period, 5);
             let mut rng = StdRng::seed_from_u64(4);
@@ -470,7 +463,7 @@ mod tests {
         // further rotations must therefore agree between the twins.
         let (_, keyed) = c17_keyed();
         for period in [1u64, 7, 20] {
-            let profile = cloaked_profile(&keyed, 0.25);
+            let profile = keyed.uniform_error_profile(0.25);
             let mut fast = OracleStack::rotating_noisy(&keyed, profile.clone(), period, 9);
             let mut slow = OracleStack::rotating_noisy(&keyed, profile, period, 9);
             let mut rng = StdRng::seed_from_u64(6);
@@ -497,7 +490,7 @@ mod tests {
         // cells plus period-4 rotation, blocks must disagree with the
         // clean chip on many lanes.
         let (nl, keyed) = c17_keyed();
-        let profile = cloaked_profile(&keyed, 0.5);
+        let profile = keyed.uniform_error_profile(0.5);
         let mut combined = OracleStack::rotating_noisy(&keyed, profile, 4, 11);
         assert_eq!(combined.rotation_period(), Some(4));
         assert!(combined.profile().is_some());
@@ -535,38 +528,6 @@ mod tests {
             let v: Vec<bool> = (0..5).map(|k| (p >> k) & 1 == 1).collect();
             assert_eq!(exact.query(&v), noisy.query(&v));
         }
-    }
-
-    #[test]
-    fn noise_only_stack_reproduces_the_legacy_stochastic_stream() {
-        // The stack constructor applies the historical seed salt, so a
-        // noise-only stack and the legacy adapter are the same oracle.
-        let (_, keyed) = c17_keyed();
-        let mut stack = OracleStack::noisy(&keyed, cloaked_profile(&keyed, 0.3), 42);
-        let mut legacy = crate::StochasticOracle::new(&keyed, 0.3, 42);
-        let inputs = [true, false, true, true, false];
-        for _ in 0..10 {
-            assert_eq!(stack.query(&inputs), legacy.query(&inputs));
-        }
-        let block = PatternBlock::from_patterns(&[vec![false; 5], vec![true; 5]]);
-        assert_eq!(stack.query_block(&block), legacy.query_block(&block));
-    }
-
-    #[test]
-    fn rotation_only_stack_reproduces_the_legacy_rotating_stream() {
-        let (_, keyed) = c17_keyed();
-        let mut stack = OracleStack::rotating(&keyed, 7, 9);
-        let mut legacy = crate::RotatingOracle::new(&keyed, 7, 9);
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..2 {
-            let block = PatternBlock::random(5, &mut rng);
-            assert_eq!(stack.query_block(&block), legacy.query_block(&block));
-        }
-        for p in 0..23u32 {
-            let v: Vec<bool> = (0..5).map(|k| (p >> k) & 1 == 1).collect();
-            assert_eq!(stack.query(&v), legacy.query(&v));
-        }
-        assert_eq!(stack.queries(), legacy.queries());
     }
 
     #[test]

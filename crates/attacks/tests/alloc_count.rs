@@ -6,7 +6,7 @@
 //! test pins: the rotating path once collected a fresh `Vec` per epoch
 //! segment).
 
-use gshe_attacks::{NetlistOracle, Oracle, OracleStack};
+use gshe_attacks::{Oracle, OracleStack};
 use gshe_camo::{camouflage, select_gates, CamoScheme};
 use gshe_logic::bench_format::{parse_bench, C17_BENCH};
 use gshe_logic::PatternBlock;
@@ -72,7 +72,7 @@ fn allocs_during(f: impl FnOnce()) -> usize {
 #[test]
 fn static_block_query_allocates_only_the_return_vector() {
     let nl = parse_bench(C17_BENCH).unwrap();
-    let mut oracle = NetlistOracle::new(&nl);
+    let mut oracle = OracleStack::exact(&nl);
     let mut rng = StdRng::seed_from_u64(1);
     let blocks: Vec<PatternBlock> = (0..12).map(|_| PatternBlock::random(5, &mut rng)).collect();
 
@@ -129,7 +129,7 @@ fn rotating_block_query_allocates_only_the_return_vector() {
 #[test]
 fn scalar_queries_allocate_only_the_return_vector() {
     let nl = parse_bench(C17_BENCH).unwrap();
-    let mut oracle = NetlistOracle::new(&nl);
+    let mut oracle = OracleStack::exact(&nl);
     let inputs = [true, false, true, false, true];
     for _ in 0..2 {
         let _ = oracle.query(&inputs);

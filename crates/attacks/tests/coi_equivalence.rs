@@ -12,8 +12,8 @@
 //! scores.
 
 use gshe_attacks::{
-    encode_keyed, sat_attack, verify_key, AttackConfig, AttackStatus, CoiMode, CoiProjection,
-    NetlistOracle,
+    encode_keyed, verify_key, AttackConfig, AttackKind, AttackRunner, AttackStatus, CoiMode,
+    CoiProjection, OracleStack,
 };
 use gshe_camo::{camouflage, select_gates_count, CamoScheme, KeyedNetlist};
 use gshe_logic::{suites, Netlist};
@@ -52,9 +52,9 @@ fn coi_and_full_attacks_agree_on_s38584() {
     // Unscaled s38584 sits below the Auto threshold, so force each path.
     let mut keys = Vec::new();
     for coi in [CoiMode::On, CoiMode::Off] {
-        let mut oracle = NetlistOracle::new(&nl);
         let config = AttackConfig::default().with_coi(coi);
-        let outcome = sat_attack(&keyed, &mut oracle, &config);
+        let runner = AttackRunner::with_config(AttackKind::Sat, config, 0);
+        let outcome = runner.run(&keyed, &mut OracleStack::exact(&nl));
         assert_eq!(
             outcome.status,
             AttackStatus::Success,

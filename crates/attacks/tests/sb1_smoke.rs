@@ -25,7 +25,9 @@
 //! cargo test -q --release -- --ignored sb1_smoke
 //! ```
 
-use gshe_attacks::{sat_attack, AttackConfig, AttackStatus, CoiMode, CoiProjection, NetlistOracle};
+use gshe_attacks::{
+    AttackConfig, AttackKind, AttackRunner, AttackStatus, CoiMode, CoiProjection, OracleStack,
+};
 use gshe_camo::{camouflage, select_gates_count, CamoScheme};
 use gshe_logic::{suites, Netlist, NodeId, PatternBlock};
 use rand::rngs::StdRng;
@@ -116,9 +118,9 @@ fn sb1_smoke() {
     // One campaign-style cell: batched SAT attack against the exact
     // working chip. The miter solves over a ~27k-node cone with
     // thousands of free inputs (~3 min of real CDCL work measured).
-    let mut oracle = NetlistOracle::new(&nl);
     let config = AttackConfig::with_timeout_secs(480).with_dip_batch(16);
-    let outcome = sat_attack(&keyed, &mut oracle, &config);
+    let runner = AttackRunner::with_config(AttackKind::Sat, config, 0);
+    let outcome = runner.run(&keyed, &mut OracleStack::exact(&nl));
     assert_eq!(outcome.status, AttackStatus::Success, "{outcome:?}");
     let key = outcome.key.expect("successful attack returns a key");
 

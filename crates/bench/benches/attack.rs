@@ -6,9 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gshe_core::attacks::{
-    double_dip_attack, sat_attack, AttackConfig, AttackStatus, NetlistOracle,
+    AttackConfig, AttackKind, AttackOutcome, AttackRunner, AttackStatus, OracleStack,
 };
-use gshe_core::camo::{camouflage, select_gates, CamoScheme};
+use gshe_core::camo::{camouflage, select_gates, CamoScheme, KeyedNetlist};
 use gshe_core::logic::{GeneratorConfig, Netlist, NetlistGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,6 +17,12 @@ fn workload() -> Netlist {
     NetlistGenerator::new(GeneratorConfig::new("bench", 12, 6, 120).with_seed(11))
         .unwrap()
         .generate()
+}
+
+/// One `kind` attack on `keyed` against the exact chip of `nl`.
+fn attack_exact(kind: AttackKind, nl: &Netlist, keyed: &KeyedNetlist) -> AttackOutcome {
+    let runner = AttackRunner::with_config(kind, AttackConfig::with_timeout_secs(60), 0);
+    runner.run(keyed, &mut OracleStack::exact(nl))
 }
 
 fn bench_attack_by_scheme(c: &mut Criterion) {
@@ -35,8 +41,7 @@ fn bench_attack_by_scheme(c: &mut Criterion) {
             &keyed,
             |b, keyed| {
                 b.iter(|| {
-                    let mut oracle = NetlistOracle::new(&nl);
-                    let out = sat_attack(keyed, &mut oracle, &AttackConfig::with_timeout_secs(60));
+                    let out = attack_exact(AttackKind::Sat, &nl, keyed);
                     assert_eq!(out.status, AttackStatus::Success);
                 })
             },
@@ -52,16 +57,10 @@ fn bench_double_dip_vs_sat(c: &mut Criterion) {
     let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
     let mut group = c.benchmark_group("dip_loop");
     group.bench_function("sat_attack", |b| {
-        b.iter(|| {
-            let mut oracle = NetlistOracle::new(&nl);
-            sat_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(60))
-        })
+        b.iter(|| attack_exact(AttackKind::Sat, &nl, &keyed))
     });
     group.bench_function("double_dip", |b| {
-        b.iter(|| {
-            let mut oracle = NetlistOracle::new(&nl);
-            double_dip_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(60))
-        })
+        b.iter(|| attack_exact(AttackKind::DoubleDip, &nl, &keyed))
     });
     group.finish();
 }

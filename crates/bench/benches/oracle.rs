@@ -4,19 +4,20 @@
 //! attack benchmark measuring the unified engine's end-to-end win.
 //!
 //! The acceptance target for the noise-aware engine is a ≥10× speedup of
-//! `StochasticOracle::query_block` over 64 scalar `query` calls on an
+//! the noisy stack's `query_block` over 64 scalar `query` calls on an
 //! ISCAS-89 s-suite benchmark (s38584, scaled); for the batched DIP
 //! engine it is a wall-clock reduction of the full SAT attack at batch
 //! width 16 vs. width 1 on the same benchmark.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use gshe_core::attacks::AttackOutcome;
 use gshe_core::attacks::OracleStack;
 use gshe_core::campaign::search::{ProfileSearch, SearchSpec};
 use gshe_core::campaign::EvalSession;
-use gshe_core::logic::{suites, ErrorProfile, FaultSimulator, Netlist, PatternBlock};
+use gshe_core::logic::{suites, FaultSimulator, Netlist, PatternBlock};
 use gshe_core::prelude::{
-    camouflage, sat_attack, select_gates, AttackConfig, AttackKind, AttackStatus, CamoScheme,
-    KeyedNetlist, NetlistOracle, Oracle, RestartMode, StochasticOracle,
+    camouflage, select_gates, AttackConfig, AttackKind, AttackRunner, AttackStatus, CamoScheme,
+    KeyedNetlist, Oracle, RestartMode,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,6 +36,12 @@ fn s38584_keyed() -> (Netlist, KeyedNetlist) {
     s38584_keyed_at(0.1)
 }
 
+/// One SAT attack on `keyed` against the exact chip of `nl`.
+fn attack_exact(nl: &Netlist, keyed: &KeyedNetlist, config: AttackConfig) -> AttackOutcome {
+    let runner = AttackRunner::with_config(AttackKind::Sat, config, 0);
+    runner.run(keyed, &mut OracleStack::exact(nl))
+}
+
 fn bench_oracle_paths(c: &mut Criterion) {
     let (nl, keyed) = s38584_keyed();
     let n_inputs = nl.inputs().len();
@@ -44,12 +51,13 @@ fn bench_oracle_paths(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("oracle_s38584");
 
-    let mut stochastic = StochasticOracle::new(&keyed, 0.05, 11);
+    let profile = keyed.uniform_error_profile(0.05);
+    let mut stochastic = OracleStack::noisy(&keyed, profile.clone(), 11);
     group.bench_function("stochastic_query_block_64", |b| {
         b.iter(|| black_box(stochastic.query_block(black_box(&block))))
     });
 
-    let mut stochastic_scalar = StochasticOracle::new(&keyed, 0.05, 11);
+    let mut stochastic_scalar = OracleStack::noisy(&keyed, profile, 11);
     group.bench_function("stochastic_query_scalar_x64", |b| {
         b.iter(|| {
             for p in &patterns {
@@ -58,12 +66,12 @@ fn bench_oracle_paths(c: &mut Criterion) {
         })
     });
 
-    let mut netlist_oracle = NetlistOracle::new(&nl);
+    let mut netlist_oracle = OracleStack::exact(&nl);
     group.bench_function("netlist_query_block_64", |b| {
         b.iter(|| black_box(netlist_oracle.query_block(black_box(&block))))
     });
 
-    let mut netlist_scalar = NetlistOracle::new(&nl);
+    let mut netlist_scalar = OracleStack::exact(&nl);
     group.bench_function("netlist_query_scalar_x64", |b| {
         b.iter(|| {
             for p in &patterns {
@@ -84,8 +92,7 @@ fn bench_oracle_paths(c: &mut Criterion) {
 /// of "each layer is a thin combinator".
 fn bench_stacked_oracle(c: &mut Criterion) {
     let (_, keyed) = s38584_keyed();
-    let nodes: Vec<_> = keyed.camo_gates().iter().map(|g| g.node).collect();
-    let profile = ErrorProfile::uniform_at(keyed.netlist().len(), &nodes, 0.05);
+    let profile = keyed.uniform_error_profile(0.05);
     let n_inputs = keyed.netlist().inputs().len();
     let mut rng = StdRng::seed_from_u64(7);
     let block = PatternBlock::random(n_inputs, &mut rng);
@@ -123,8 +130,7 @@ fn bench_stacked_oracle(c: &mut Criterion) {
 /// enabled row shows what flipping the switch actually costs.
 fn bench_obs_overhead(c: &mut Criterion) {
     let (_, keyed) = s38584_keyed();
-    let nodes: Vec<_> = keyed.camo_gates().iter().map(|g| g.node).collect();
-    let profile = ErrorProfile::uniform_at(keyed.netlist().len(), &nodes, 0.05);
+    let profile = keyed.uniform_error_profile(0.05);
     let n_inputs = keyed.netlist().inputs().len();
     let mut rng = StdRng::seed_from_u64(7);
     let block = PatternBlock::random(n_inputs, &mut rng);
@@ -161,8 +167,7 @@ fn bench_batched_dip(c: &mut Criterion) {
         let config = AttackConfig::with_timeout_secs(120).with_dip_batch(width);
         group.bench_function(format!("sat_attack_batch_{width}"), |b| {
             b.iter(|| {
-                let mut oracle = NetlistOracle::new(&nl);
-                let out = sat_attack(black_box(&keyed), &mut oracle, &config);
+                let out = attack_exact(&nl, black_box(&keyed), config);
                 assert_eq!(out.status, AttackStatus::Success, "width {width}");
                 black_box(out.iterations)
             })
@@ -191,8 +196,7 @@ fn bench_incremental_solver(c: &mut Criterion) {
             .with_restart_mode(mode);
         group.bench_function(format!("sat_attack_restart_{label}"), |b| {
             b.iter(|| {
-                let mut oracle = NetlistOracle::new(&nl);
-                let out = sat_attack(black_box(&keyed), &mut oracle, &config);
+                let out = attack_exact(&nl, black_box(&keyed), config);
                 assert_eq!(out.status, AttackStatus::Success, "restart mode {label}");
                 black_box(out.iterations)
             })
@@ -259,7 +263,7 @@ fn bench_gates_per_sec(c: &mut Criterion) {
     let block = PatternBlock::random(nl.inputs().len(), &mut rng);
 
     let mut group = c.benchmark_group("gates_per_sec_s38584");
-    let mut oracle = NetlistOracle::new(&nl);
+    let mut oracle = OracleStack::exact(&nl);
     group.bench_function(format!("query_block_64x{gates}_gates"), |b| {
         b.iter(|| black_box(oracle.query_block(black_box(&block))))
     });
@@ -291,8 +295,7 @@ fn bench_coi_miter(c: &mut Criterion) {
             .with_coi(coi);
         group.bench_function(format!("sat_attack_w16_{label}"), |b| {
             b.iter(|| {
-                let mut oracle = NetlistOracle::new(&nl);
-                let out = sat_attack(black_box(&keyed), &mut oracle, &config);
+                let out = attack_exact(&nl, black_box(&keyed), config);
                 assert_eq!(out.status, AttackStatus::Success, "{label}");
                 black_box(out.iterations)
             })
@@ -324,8 +327,7 @@ fn bench_simplify_miter(c: &mut Criterion) {
             .with_simplify(mode);
         group.bench_function(format!("sat_attack_w16_{label}"), |b| {
             b.iter(|| {
-                let mut oracle = NetlistOracle::new(&nl);
-                let out = sat_attack(black_box(&keyed), &mut oracle, &config);
+                let out = attack_exact(&nl, black_box(&keyed), config);
                 assert_eq!(out.status, AttackStatus::Success, "{label}");
                 black_box(out.iterations)
             })

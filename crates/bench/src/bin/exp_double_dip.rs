@@ -4,9 +4,7 @@
 //! \[12\]), while needing no more oracle queries per eliminated key.
 
 use gshe_bench::{runtime_cell, HarnessArgs};
-use gshe_core::attacks::{
-    double_dip_attack, sat_attack, AttackConfig, AttackStatus, NetlistOracle,
-};
+use gshe_core::attacks::{AttackConfig, AttackKind, AttackRunner, AttackStatus, OracleStack};
 use gshe_core::camo::{camouflage, select_gates, CamoScheme};
 use gshe_core::logic::suites::{benchmark_scaled, spec};
 use rand::rngs::StdRng;
@@ -36,10 +34,9 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(args.seed);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).expect("all-16");
 
-        let mut o1 = NetlistOracle::new(&nl);
-        let sat = sat_attack(&keyed, &mut o1, &config);
-        let mut o2 = NetlistOracle::new(&nl);
-        let dd = double_dip_attack(&keyed, &mut o2, &config);
+        let [sat, dd] = [AttackKind::Sat, AttackKind::DoubleDip].map(|kind| {
+            AttackRunner::with_config(kind, config, 0).run(&keyed, &mut OracleStack::exact(&nl))
+        });
         let cell = |s: &gshe_core::attacks::AttackOutcome| {
             let status = match s.status {
                 AttackStatus::Success => "success",

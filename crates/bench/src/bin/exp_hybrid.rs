@@ -5,7 +5,7 @@
 //! resolved by SAT attacks within the budget.
 
 use gshe_bench::{runtime_cell, HarnessArgs};
-use gshe_core::attacks::{sat_attack, AttackConfig, AttackStatus, NetlistOracle};
+use gshe_core::attacks::{AttackConfig, AttackKind, AttackRunner, AttackStatus, OracleStack};
 use gshe_core::logic::suites::{benchmark_scaled, spec};
 use gshe_core::timing::DelayModel;
 use gshe_core::{protect_delay_aware, Provisioning};
@@ -13,10 +13,14 @@ use gshe_core::{protect_delay_aware, Provisioning};
 fn main() {
     let args = HarnessArgs::parse();
     let model = DelayModel::cmos_45nm();
-    let config = AttackConfig {
-        timeout: args.timeout,
-        ..Default::default()
-    };
+    let runner = AttackRunner::with_config(
+        AttackKind::Sat,
+        AttackConfig {
+            timeout: args.timeout,
+            ..Default::default()
+        },
+        0,
+    );
     println!(
         "SEC. V-A — DELAY-AWARE HYBRID CMOS-GSHE PROTECTION (scale 1/{})",
         args.scale
@@ -36,8 +40,7 @@ fn main() {
         assert_eq!(protected.provisioning, Provisioning::SplitManufacturing);
         fractions.push(hybrid.fraction);
 
-        let mut oracle = NetlistOracle::new(&nl);
-        let out = sat_attack(&protected.keyed, &mut oracle, &config);
+        let out = runner.run(&protected.keyed, &mut OracleStack::exact(&nl));
         let status = match out.status {
             AttackStatus::Success => "success",
             AttackStatus::Timeout => "timeout",

@@ -5,7 +5,9 @@
 //! use of the primitive to curb PPA overheads.
 
 use gshe_bench::HarnessArgs;
-use gshe_core::attacks::{sat_attack, verify_key, AttackConfig, AttackStatus, NetlistOracle};
+use gshe_core::attacks::{
+    verify_key, AttackConfig, AttackKind, AttackRunner, AttackStatus, OracleStack,
+};
 use gshe_core::camo::{camouflage, select_gates, CamoScheme};
 use gshe_core::logic::suites::{benchmark_scaled, S38584};
 use rand::rngs::StdRng;
@@ -18,10 +20,14 @@ fn main() {
     let fraction = 0.015;
     let runs = args.samples.clamp(10, 100) as u64;
     let nl = benchmark_scaled(&S38584, args.scale, args.seed);
-    let config = AttackConfig {
-        timeout: args.timeout,
-        ..Default::default()
-    };
+    let runner = AttackRunner::with_config(
+        AttackKind::Sat,
+        AttackConfig {
+            timeout: args.timeout,
+            ..Default::default()
+        },
+        0,
+    );
 
     println!(
         "SEC. II EXPERIMENT — s38584 under cost-limited STT-LUT [25] ({}% of {} gates, {} runs)",
@@ -37,8 +43,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(args.seed ^ run);
         let keyed = camouflage(&nl, &picks, CamoScheme::ThresholdSttLut, &mut rng)
             .expect("STT-LUT absorbs standard functions");
-        let mut oracle = NetlistOracle::new(&nl);
-        let out = sat_attack(&keyed, &mut oracle, &config);
+        let out = runner.run(&keyed, &mut OracleStack::exact(&nl));
         let secs = out.elapsed.as_secs_f64();
         total += secs;
         max = max.max(secs);

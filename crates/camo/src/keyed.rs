@@ -1,7 +1,7 @@
 //! The keyed (locked/camouflaged) netlist model.
 
 use crate::error::CamoError;
-use gshe_logic::{Bf1, Bf2, Netlist, NodeId, NodeKind};
+use gshe_logic::{Bf1, Bf2, ErrorProfile, Netlist, NodeId, NodeKind};
 
 /// Candidate function set of one cloaked cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,6 +133,17 @@ impl KeyedNetlist {
             g.encode(g.correct_index, &mut key);
         }
         key
+    }
+
+    /// The stochastic chip's uniform noise placement (Sec. V-B): `rate` at
+    /// every cloaked cell, 0 elsewhere, as a dense per-node profile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is outside `[0, 1]`.
+    pub fn uniform_error_profile(&self, rate: f64) -> ErrorProfile {
+        let cells: Vec<NodeId> = self.camo_gates.iter().map(|g| g.node).collect();
+        ErrorProfile::uniform_at(self.netlist.len(), &cells, rate)
     }
 
     /// Resolves the design under `key` into a plain netlist.

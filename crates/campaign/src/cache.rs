@@ -772,7 +772,7 @@ mod tests {
 
     #[test]
     fn cone_keyed_hits_are_byte_identical_to_full_key_and_uncached() {
-        use gshe_attacks::{cone_inputs, CoiMode, CoiOracle, CoiProjection, NetlistOracle};
+        use gshe_attacks::{cone_inputs, CoiMode, CoiOracle, CoiProjection, OracleStack};
 
         let (nl, keyed) = split_design();
         let proj = CoiProjection::build(&keyed, CoiMode::On).expect("projection engages");
@@ -785,7 +785,7 @@ mod tests {
         let full_cache = OracleCache::shared();
         let mut cone_inner = CachedOracle::over_cone(&nl, Arc::clone(&cone_cache), inputs.clone());
         let mut full_inner = CachedOracle::over(&nl, Arc::clone(&full_cache));
-        let mut bare_inner = NetlistOracle::new(&nl);
+        let mut bare_inner = OracleStack::exact(&nl);
         let mut cone_keyed = CoiOracle::new(&mut cone_inner, &proj);
         let mut full_keyed = CoiOracle::new(&mut full_inner, &proj);
         let mut uncached = CoiOracle::new(&mut bare_inner, &proj);

@@ -16,7 +16,7 @@
 use crate::cache::{CachedOracle, OracleCache};
 use gshe_attacks::{
     cone_inputs, verify_key_until, AttackConfig, AttackKind, AttackRunner, AttackStatus, CoiMode,
-    OracleStack, SimplifyMode,
+    Oracle, OracleStack, SimplifyMode,
 };
 use gshe_camo::{camouflage, select_gates, CamoScheme, KeyedNetlist};
 use gshe_device::{MonteCarlo, MonteCarloConfig, SwitchParams};
@@ -157,7 +157,7 @@ pub fn noise_profile(keyed: &KeyedNetlist, shape: NoiseShape, rate: f64) -> Erro
     let nl = keyed.netlist();
     let cloaked: Vec<NodeId> = keyed.camo_gates().iter().map(|g| g.node).collect();
     match shape {
-        NoiseShape::Uniform => ErrorProfile::uniform_at(nl.len(), &cloaked, rate),
+        NoiseShape::Uniform => keyed.uniform_error_profile(rate),
         NoiseShape::OutputCone => {
             let levels = nl.levels();
             let deepest = nl
@@ -179,7 +179,7 @@ pub fn noise_profile(keyed: &KeyedNetlist, shape: NoiseShape, rate: f64) -> Erro
                 // No cloaked cell in the cone: a quiet profile would
                 // report a deterministic chip as a "defeated" stochastic
                 // defense. Fall back to the uniform placement instead.
-                return noise_profile(keyed, NoiseShape::Uniform, rate);
+                return keyed.uniform_error_profile(rate);
             }
             ErrorProfile::from_rates(rates)
         }
@@ -545,54 +545,27 @@ pub fn run_job(spec: &JobSpec, ctx: &JobContext) -> JobResult {
                     }
                 }
             };
-            let runner = AttackRunner::with_config(
-                *attack,
-                AttackConfig {
-                    timeout: spec.timeout,
-                    ..Default::default()
-                }
-                .with_coi_mode(ctx.coi_mode)
-                .with_simplify_mode(ctx.sat_simplify),
-                seeds.oracle,
-            );
-            // Build the oracle stack bottom-up from the cell's defense
-            // dimensions: a noisy base when the cell carries an error
-            // rate, a rotation layer when it carries a period — any
-            // combination is one bit-parallel stack — and the campaign
-            // cache only over the bare exact stack (noisy answers are
-            // samples and rotating answers a per-chip key stream, so
-            // neither is memoizable).
-            let noise = (*error_rate > 0.0).then(|| noise_profile(&keyed, *profile, *error_rate));
-            let out = match (*rotation_period, noise) {
-                (0, None) => {
-                    // When the job's COI mode engages on this design, the
-                    // oracle answers are a pure function of the cone
-                    // inputs (the engine zero-fills the rest), so the
-                    // cache can key entries on the packed cone
-                    // sub-pattern instead of the full input width —
-                    // superblue-wide blocks shrink to cone-width keys and
-                    // hit across jobs whose non-cone lanes differ.
-                    let mut oracle = match cone_inputs(&keyed, ctx.coi_mode) {
-                        Some(cone) => CachedOracle::over_cone(nl, Arc::clone(&ctx.cache), cone),
-                        None => CachedOracle::over(nl, Arc::clone(&ctx.cache)),
-                    };
-                    runner.run(&keyed, &mut oracle)
-                }
-                (0, Some(noise)) => {
-                    let mut oracle = OracleStack::noisy(&keyed, noise, seeds.oracle);
-                    runner.run(&keyed, &mut oracle)
-                }
-                (period, None) => {
-                    let mut oracle = OracleStack::rotating(&keyed, period, seeds.oracle);
-                    runner.run(&keyed, &mut oracle)
-                }
-                (period, Some(noise)) => {
-                    // The combined defense cell: rotation over noise.
-                    let mut oracle =
-                        OracleStack::rotating_noisy(&keyed, noise, period, seeds.oracle);
-                    runner.run(&keyed, &mut oracle)
-                }
+            let config = AttackConfig {
+                timeout: spec.timeout,
+                coi: ctx.coi_mode,
+                simplify: ctx.sat_simplify,
+                ..Default::default()
             };
+            let runner = AttackRunner::with_config(*attack, config, seeds.oracle);
+            let noise = (*error_rate > 0.0).then(|| noise_profile(&keyed, *profile, *error_rate));
+            let mut chip = cell_oracle(
+                nl,
+                &keyed,
+                noise,
+                *rotation_period,
+                seeds.oracle,
+                ctx.coi_mode,
+                &ctx.cache,
+            );
+            let out = runner.run(&keyed, &mut *chip);
+            // A rotating chip owns a resolved netlist: free it before
+            // verification builds its miter.
+            drop(chip);
             result.status = match out.status {
                 AttackStatus::Success => JobStatus::Completed,
                 AttackStatus::Timeout => JobStatus::TimedOut,
@@ -638,6 +611,40 @@ pub fn run_job(spec: &JobSpec, ctx: &JobContext) -> JobResult {
     }
     result.elapsed = start.elapsed();
     result
+}
+
+/// The working chip for one cell's defense dimensions, built bottom-up as
+/// one oracle stack: a noisy base when the cell carries a `noise` profile,
+/// a rotation layer when it carries a nonzero `rotation_period` (both at
+/// once is the combined defense), and the campaign `cache` only over the
+/// bare exact stack — noisy answers are samples and rotating answers a
+/// per-chip key stream, so neither is memoizable. `seed` drives both
+/// defense streams.
+///
+/// When `coi` engages on this design (the attack's own COI mode), the
+/// exact chip's answers are a pure function of the cone inputs (the
+/// engine zero-fills the rest), so the cache keys entries on the packed
+/// cone sub-pattern instead of the full input width — superblue-wide
+/// blocks shrink to cone-width keys and hit across jobs whose non-cone
+/// lanes differ.
+pub fn cell_oracle<'a>(
+    netlist: &'a Netlist,
+    keyed: &'a KeyedNetlist,
+    noise: Option<ErrorProfile>,
+    rotation_period: u64,
+    seed: u64,
+    coi: CoiMode,
+    cache: &Arc<OracleCache>,
+) -> Box<dyn Oracle + 'a> {
+    match (rotation_period, noise) {
+        (0, None) => Box::new(match cone_inputs(keyed, coi) {
+            Some(cone) => CachedOracle::over_cone(netlist, Arc::clone(cache), cone),
+            None => CachedOracle::over(netlist, Arc::clone(cache)),
+        }),
+        (0, Some(noise)) => Box::new(OracleStack::noisy(keyed, noise, seed)),
+        (period, None) => Box::new(OracleStack::rotating(keyed, period, seed)),
+        (period, Some(noise)) => Box::new(OracleStack::rotating_noisy(keyed, noise, period, seed)),
+    }
 }
 
 /// Verifies a recovered key into `result`, inside the job's budget: a

@@ -148,8 +148,8 @@ pub mod spec;
 pub use aggregate::{CellKey, DeviceRow, TableRow};
 pub use cache::{netlist_fingerprint, CacheLayer, CachedOracle, OracleCache};
 pub use job::{
-    noise_profile, run_job, select_seed, transform_seed, AttackSeeds, JobContext, JobKind,
-    JobResult, JobSpec, JobStatus, KeyedMemo, NoiseShape,
+    cell_oracle, noise_profile, run_job, select_seed, transform_seed, AttackSeeds, JobContext,
+    JobKind, JobResult, JobSpec, JobStatus, KeyedMemo, NoiseShape,
 };
 pub use physical::ClockRateTable;
 pub use pool::{pool_summary, WorkerPool, WorkerStats};

@@ -21,11 +21,11 @@
 //!   when no winner exists yet), dedups against everything already
 //!   scored, and evaluates λ fresh candidates;
 //! * **scoring** runs trials × attacks through the session pool: each
-//!   trial is one [`gshe_attacks::dip_engine`] refinement at the spec'd
-//!   batch width ([`DEFAULT_BATCH_WIDTH`] by default) against
-//!   [`OracleStack::noisy`] — or [`OracleStack::rotating_noisy`] when the
-//!   spec carries a rotation budget, searching the *combined*-defense
-//!   frontier. The defense wins a trial when the attack fails to recover
+//!   trial is one [`AttackRunner::run`] at the spec'd batch width
+//!   ([`DEFAULT_BATCH_WIDTH`] by default) against the campaign's
+//!   [`cell_oracle`] for the candidate: a noisy stack, or a rotating noisy
+//!   stack when the spec carries a rotation budget, searching the
+//!   *combined*-defense frontier. The defense wins a trial when the attack fails to recover
 //!   a functionally-correct key.
 //!
 //! ## Reproducibility
@@ -40,10 +40,9 @@
 //! [`SearchReport::deterministic_json`] is byte-identical across
 //! `threads = 1` and `threads = N`.
 
-use crate::cache::CachedOracle;
 use crate::job::{
-    hash_mix, hash_str, noise_profile, rotation_salt, select_seed, transform_seed, AttackSeeds,
-    NoiseShape,
+    cell_oracle, hash_mix, hash_str, noise_profile, rotation_salt, select_seed, transform_seed,
+    AttackSeeds, NoiseShape,
 };
 use crate::physical::{is_valid_clock_period, ClockRateTable};
 use crate::report::{json_f64, json_str};
@@ -53,8 +52,7 @@ use crate::spec::{
 };
 use crate::EvalSession;
 use gshe_attacks::{
-    verify_key, AttackConfig, AttackKind, AttackRunner, AttackStatus, OracleStack,
-    DEFAULT_BATCH_WIDTH,
+    verify_key, AttackConfig, AttackKind, AttackRunner, AttackStatus, DEFAULT_BATCH_WIDTH,
 };
 use gshe_camo::{CamoScheme, KeyedNetlist};
 use gshe_logic::{ErrorProfile, Netlist};
@@ -109,7 +107,7 @@ pub struct SearchSpec {
     pub attacks: Vec<AttackKind>,
     /// Rotation budget: `0` searches the noise-only frontier; `n > 0`
     /// scores candidates against the **combined** defense
-    /// ([`OracleStack::rotating_noisy`] at period `n`) — the cheapest
+    /// ([`gshe_attacks::OracleStack::rotating_noisy`] at period `n`) — the cheapest
     /// noise *given* that rotation budget.
     pub rotation_period: u64,
     /// Clock periods (ns) seeding generation 0 via the device Monte
@@ -620,29 +618,21 @@ impl<'s> ProfileSearch<'s> {
                         let _span = gshe_obs::span("search.trial");
                         gshe_obs::count("search.trials", 1);
                         let runner = AttackRunner::with_config(attack, config, oracle_seed);
-                        // Build the stack from the candidate's dimensions,
-                        // exactly like campaign job materialization: quiet
-                        // static candidates are deterministic chips and
-                        // ride the session cache.
-                        let out = match (period, profile.is_quiet()) {
-                            (0, true) => {
-                                let mut oracle = CachedOracle::over(&netlist, cache);
-                                runner.run(&keyed, &mut oracle)
-                            }
-                            (0, false) => {
-                                let mut oracle = OracleStack::noisy(&keyed, profile, oracle_seed);
-                                runner.run(&keyed, &mut oracle)
-                            }
-                            (p, true) => {
-                                let mut oracle = OracleStack::rotating(&keyed, p, oracle_seed);
-                                runner.run(&keyed, &mut oracle)
-                            }
-                            (p, false) => {
-                                let mut oracle =
-                                    OracleStack::rotating_noisy(&keyed, profile, p, oracle_seed);
-                                runner.run(&keyed, &mut oracle)
-                            }
-                        };
+                        // The same chip a campaign job builds: quiet static
+                        // candidates are deterministic and ride the
+                        // session cache.
+                        let noise = (!profile.is_quiet()).then_some(profile);
+                        let mut chip = cell_oracle(
+                            &netlist,
+                            &keyed,
+                            noise,
+                            period,
+                            oracle_seed,
+                            config.coi,
+                            &cache,
+                        );
+                        let out = runner.run(&keyed, &mut *chip);
+                        drop(chip);
                         let attacker_won = out.status == AttackStatus::Success
                             && out
                                 .key

@@ -15,8 +15,8 @@
 //! * [`stochastic`] — Sec. V-B: tunable per-device error rates derived
 //!   from the switching-delay distribution vs. the clock period.
 //! * [`polymorphic`] — Sec. V-C: runtime polymorphism (function morphing
-//!   that preserves chip function) and key rotation against
-//!   runtime-intensive attacks.
+//!   that preserves chip function); the key-rotating chip is
+//!   [`attacks::OracleStack::rotating`].
 //! * [`flows`] — chip-level protection flows: plain/full camouflaging and
 //!   the delay-aware hybrid CMOS–GSHE flow, with the Sec. IV provisioning
 //!   options.
@@ -37,7 +37,7 @@ pub mod stochastic;
 
 pub use config::{CurrentInput, GsheConfig, ReadMode};
 pub use flows::{protect, protect_delay_aware, Protected, Provisioning};
-pub use polymorphic::{morph_complement, morph_random, RotatingOracle};
+pub use polymorphic::{morph_complement, morph_random};
 pub use primitive::GshePrimitive;
 pub use stochastic::{
     error_profile_for_drives, error_rate_for_clock, StochasticPrimitive, SwitchDrive,
@@ -61,9 +61,8 @@ pub mod prelude {
         error_profile_for_drives, error_rate_for_clock, StochasticPrimitive, SwitchDrive,
     };
     pub use gshe_attacks::{
-        appsat_attack, double_dip_attack, sat_attack, verify_key, AttackConfig, AttackKind,
-        AttackRunner, AttackStatus, NetlistOracle, Oracle, OracleStack, RestartMode,
-        StochasticOracle,
+        verify_key, AttackConfig, AttackKind, AttackRunner, AttackStatus, Oracle, OracleStack,
+        RestartMode,
     };
     pub use gshe_camo::{camouflage, select_gates, CamoScheme, KeyedNetlist};
     pub use gshe_campaign::{

@@ -10,20 +10,15 @@
 //!   at two instants sees two different circuits ("it is virtually
 //!   impossible to resolve all dynamic features on full-chip scale at
 //!   once").
-//! * **Key rotation** ([`RotatingOracle`]), after Koteshwara et al. \[40\]:
-//!   the chip's key (and hence oracle behaviour) is altered dynamically,
-//!   rendering runtime-intensive attacks — SAT attacks in particular —
-//!   incapable.
+//! * **Key rotation**
+//!   ([`OracleStack::rotating`](gshe_attacks::OracleStack::rotating)),
+//!   after Koteshwara et al. \[40\]: the chip's key (and hence oracle
+//!   behaviour) is altered dynamically, rendering runtime-intensive
+//!   attacks — SAT attacks in particular — incapable.
 
 use gshe_logic::{Bf1, LogicError, Netlist, NodeId, NodeKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-// The rotating chip is an attack-facing oracle, so the implementation
-// lives with the other oracles in `gshe_attacks::oracle` (where the
-// campaign engine can materialize it per job); re-exported here to keep
-// the Sec. V-C defense surface together.
-pub use gshe_attacks::RotatingOracle;
 
 /// Complements the function of gate `node` and compensates every fanout by
 /// negating the corresponding input, preserving the netlist's function.
@@ -104,7 +99,9 @@ pub fn morph_random(nl: &mut Netlist, candidates: &[NodeId], seed: u64) -> Vec<N
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gshe_attacks::{sat_attack, verify_key, AttackConfig, AttackStatus, Oracle};
+    use gshe_attacks::{
+        verify_key, AttackConfig, AttackKind, AttackRunner, AttackStatus, Oracle, OracleStack,
+    };
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::sim::random_equivalence_check;
     use gshe_logic::{Bf2, GeneratorConfig, NetlistBuilder, NetlistGenerator};
@@ -177,7 +174,7 @@ mod tests {
     }
 
     #[test]
-    fn rotating_oracle_defeats_sat_attack() {
+    fn rotating_oracle_defeats_the_attack() {
         let nl = NetlistGenerator::new(GeneratorConfig::new("t", 8, 4, 60).with_seed(7))
             .unwrap()
             .generate();
@@ -187,8 +184,10 @@ mod tests {
         let mut broken = 0;
         let trials = 3;
         for seed in 0..trials {
-            let mut oracle = RotatingOracle::new(&keyed, 3, seed);
-            let out = sat_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(20));
+            let mut oracle = OracleStack::rotating(&keyed, 3, seed);
+            let runner =
+                AttackRunner::with_config(AttackKind::Sat, AttackConfig::with_timeout_secs(20), 0);
+            let out = runner.run(&keyed, &mut oracle);
             let failed = match out.status {
                 AttackStatus::Inconsistent => true,
                 AttackStatus::Success => {
@@ -220,8 +219,8 @@ mod tests {
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
 
         for period in [1u64, 5, 64, 1000] {
-            let mut fast = RotatingOracle::new(&keyed, period, 3);
-            let mut slow = RotatingOracle::new(&keyed, period, 3);
+            let mut fast = OracleStack::rotating(&keyed, period, 3);
+            let mut slow = OracleStack::rotating(&keyed, period, 3);
             let mut prng = StdRng::seed_from_u64(8);
             for _ in 0..3 {
                 let block = gshe_logic::PatternBlock::random_n(6, 50, &mut prng);
@@ -249,7 +248,7 @@ mod tests {
         let picks = select_gates(&nl, 0.5, 13);
         let mut rng = StdRng::seed_from_u64(13);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
-        let mut oracle = RotatingOracle::new(&keyed, 1000, 1);
+        let mut oracle = OracleStack::rotating(&keyed, 1000, 1);
         let x = vec![true; 6];
         let y0 = oracle.query(&x);
         assert_eq!(y0, nl.evaluate(&x), "first epoch uses the correct key");

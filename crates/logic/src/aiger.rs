@@ -77,11 +77,13 @@ pub fn parse_aag(text: &str) -> Result<Netlist, LogicError> {
         nums[4] as usize,
     );
 
-    let mut input_vars: Vec<u32> = Vec::with_capacity(n_in);
-    let mut latches: Vec<(u32, u32)> = Vec::with_capacity(n_latch); // (current var, next lit)
-    let mut output_lits: Vec<u32> = Vec::with_capacity(n_out);
-    let mut and_defs: HashMap<u32, (u32, u32)> = HashMap::with_capacity(n_and);
-    let mut and_order: Vec<u32> = Vec::with_capacity(n_and);
+    // No pre-allocation from the header counts: they are untrusted, and
+    // each declared item must still arrive on a line of its own.
+    let mut input_vars: Vec<u32> = Vec::new();
+    let mut latches: Vec<(u32, u32)> = Vec::new(); // (current var, next lit)
+    let mut output_lits: Vec<u32> = Vec::new();
+    let mut and_defs: HashMap<u32, (u32, u32)> = HashMap::new();
+    let mut and_order: Vec<u32> = Vec::new();
     let mut defined: HashSet<u32> = HashSet::new();
 
     let mut next = |what: &str| {
@@ -160,6 +162,14 @@ pub fn parse_aag(text: &str) -> Result<Netlist, LogicError> {
             )));
         }
     }
+    for (k, (_, lit)) in latches.iter().enumerate() {
+        let v = lit >> 1;
+        if v != 0 && !defined.contains(&v) {
+            return Err(LogicError::UnknownSignal(format!(
+                "variable {v} (latch {k} next state)"
+            )));
+        }
+    }
     if let Some(&v) = defined.iter().find(|&&v| v > max_var) {
         return Err(LogicError::Validation(format!(
             "variable {v} exceeds declared maximum {max_var}"
@@ -178,17 +188,19 @@ pub fn parse_aag(text: &str) -> Result<Netlist, LogicError> {
         if l.is_empty() {
             continue;
         }
-        let (tag, rest) = l.split_at(1);
-        let (idx, name) = rest
+        let mut chars = l.chars();
+        let tag = chars.next().expect("line is non-empty");
+        let (idx, name) = chars
+            .as_str()
             .split_once(' ')
             .ok_or_else(|| parse_err(i + 1, "symbol line must be `<pos> <name>`"))?;
         let idx: usize = idx
             .parse()
             .map_err(|e| parse_err(i + 1, format!("bad symbol position: {e}")))?;
         match tag {
-            "i" => in_names.insert(idx, name.to_string()),
-            "l" => latch_names.insert(idx, name.to_string()),
-            "o" => out_names.insert(idx, name.to_string()),
+            'i' => in_names.insert(idx, name.to_string()),
+            'l' => latch_names.insert(idx, name.to_string()),
+            'o' => out_names.insert(idx, name.to_string()),
             _ => return Err(parse_err(i + 1, "symbol tag must be i/l/o")),
         };
     }
@@ -482,6 +494,23 @@ mod tests {
     fn malformed_headers_are_rejected() {
         for text in ["", "aig 1 1 0 1 0\n", "aag 1 1 0\n"] {
             assert!(matches!(parse_aag(text), Err(LogicError::Parse { .. })));
+        }
+    }
+
+    #[test]
+    fn malformed_documents_return_errors_without_panicking() {
+        for (text, why) in [
+            (
+                "aag 1 0 1 0 0\n2 4\n",
+                "latch next state names an undefined variable",
+            ),
+            ("aag 1 1 0 0 0\n2\n\u{e9}0 x\n", "multi-byte symbol tag"),
+            (
+                "aag 0 0 0 0 4294967295\n",
+                "header count far beyond the document",
+            ),
+        ] {
+            assert!(parse_aag(text).is_err(), "{why}: {text:?}");
         }
     }
 

@@ -11,15 +11,16 @@
 //!   normalize to this one representation, so interpreters never do a
 //!   per-node set-membership probe.
 //! * [`FaultSimulator`] — a bit-parallel simulator that evaluates 64 input
-//!   patterns per pass (like [`Simulator`]) and injects faults as per-node
-//!   64-bit Bernoulli flip masks. A mask costs at most 32 RNG words
-//!   (usually fewer), so noise costs O(noisy nodes) per *block* instead of
-//!   one RNG call per node per pattern.
+//!   patterns per pass (like [`Simulator`](crate::Simulator)) and injects
+//!   faults as per-node 64-bit Bernoulli flip masks. A mask costs at most
+//!   32 RNG words (usually fewer), so noise costs O(noisy nodes) per
+//!   *block* instead of one RNG call per node per pattern.
 //!
-//! With an all-zero profile the engine is bit-identical to [`Simulator`]
-//! (property-tested in `tests/fault_sim_props.rs`), so deterministic and
-//! stochastic evaluation share one gate-eval core:
-//! [`NodeKind::eval_lanes`].
+//! With an all-zero profile the engine is bit-identical to
+//! [`Simulator`](crate::Simulator) (property-tested in
+//! `tests/fault_sim_props.rs`), so deterministic and stochastic
+//! evaluation share one gate-eval core:
+//! [`NodeKind::eval_lanes`](crate::NodeKind::eval_lanes).
 
 use crate::error::LogicError;
 use crate::netlist::{Netlist, NodeId};
@@ -101,8 +102,7 @@ impl ErrorProfile {
     }
 
     /// A profile with `rate` at exactly the listed `nodes` and 0 elsewhere
-    /// — the uniform-over-cloaked-cells shape of the original
-    /// `StochasticOracle`.
+    /// — e.g. a uniform rate on a keyed netlist's cloaked cells.
     ///
     /// # Panics
     ///
@@ -189,7 +189,7 @@ impl ErrorProfile {
     }
 
     /// `true` if every rate is zero (the engine is then bit-identical to
-    /// [`Simulator`]).
+    /// [`Simulator`](crate::Simulator)).
     pub fn is_quiet(&self) -> bool {
         self.noisy.is_empty()
     }
@@ -232,15 +232,15 @@ fn splitmix(mut x: u64) -> u64 {
 /// superpose — exactly the stochastically correlated output behaviour
 /// Sec. V-B relies on to break SAT-style attacks.
 ///
-/// Two evaluation paths share one gate core ([`NodeKind::eval_lanes`]) but
-/// consume the RNG differently:
+/// Two evaluation paths share one gate core
+/// ([`NodeKind::eval_lanes`](crate::NodeKind::eval_lanes)) but consume the
+/// RNG differently:
 ///
 /// * [`FaultSimulator::run`] (block path) draws one Bernoulli *mask* per
 ///   noisy node per block;
 /// * [`FaultSimulator::run_scalar`] (scalar path) draws one `gen_bool` per
-///   noisy node per pattern — the historical `StochasticOracle::query`
-///   stream, kept so seeded scalar experiments reproduce across the
-///   refactor.
+///   noisy node per pattern — the stream a noisy oracle's scalar query
+///   draws, so seeded scalar experiments reproduce.
 ///
 /// Both are deterministic per (netlist, profile, seed).
 ///

@@ -212,7 +212,7 @@ pub fn optimize(nl: &Netlist) -> (Netlist, OptReport) {
 ///   the gate's function table, and constant fanins become constant
 ///   drivers;
 /// - folding never looks *through* a protected node's output (it is a
-///   real emitted node, never a [`Fold`]);
+///   real emitted node, never a `Fold`);
 /// - protected nodes are liveness roots alongside the primary outputs.
 ///
 /// The primary-input and primary-output interfaces are preserved exactly

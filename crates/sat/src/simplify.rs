@@ -47,7 +47,7 @@
 //! references, so records survive arena garbage collection.
 //!
 //! Inprocessing is clause **vivification** at restart boundaries
-//! ([`Solver::maybe_vivify`]): for a budgeted batch of long learnt
+//! (`Solver::maybe_vivify`): for a budgeted batch of long learnt
 //! clauses, assert the negation of each literal in turn and propagate;
 //! a conflict or satisfied literal proves a shorter clause, which replaces
 //! the original. The clause under probe is detached first so it cannot

@@ -26,8 +26,9 @@ fn main() {
     for scheme in CamoScheme::ALL {
         let mut rng = StdRng::seed_from_u64(99);
         let keyed = camouflage(&design, &picks, scheme, &mut rng).expect("camouflage");
-        let mut oracle = NetlistOracle::new(&design);
-        let outcome = sat_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(30));
+        let config = AttackConfig::with_timeout_secs(30);
+        let runner = AttackRunner::with_config(AttackKind::Sat, config, 0);
+        let outcome = runner.run(&keyed, &mut OracleStack::exact(&design));
         let verdict = match outcome.status {
             AttackStatus::Success => {
                 let key = outcome.key.as_ref().expect("key on success");

@@ -42,12 +42,8 @@ fn main() {
         hybrid.hybrid_power * 1e6
     );
 
-    let mut oracle = NetlistOracle::new(&design);
-    let outcome = sat_attack(
-        &protected.keyed,
-        &mut oracle,
-        &AttackConfig::with_timeout_secs(20),
-    );
+    let runner = AttackRunner::with_config(AttackKind::Sat, AttackConfig::with_timeout_secs(20), 0);
+    let outcome = runner.run(&protected.keyed, &mut OracleStack::exact(&design));
     println!(
         "\nSAT attack on the hybrid design: {:?} after {} DIPs in {:.1} s",
         outcome.status,

@@ -60,12 +60,8 @@ fn main() {
     println!("with a wrong key     : {bad:?}");
 
     // 4. And the SAT attacker's view of the problem.
-    let mut oracle = NetlistOracle::new(&design);
-    let outcome = sat_attack(
-        &protected.keyed,
-        &mut oracle,
-        &AttackConfig::with_timeout_secs(10),
-    );
+    let runner = AttackRunner::with_config(AttackKind::Sat, AttackConfig::with_timeout_secs(10), 0);
+    let outcome = runner.run(&protected.keyed, &mut OracleStack::exact(&design));
     println!(
         "\nSAT attack on this toy design: {:?} after {} DIPs ({} oracle queries)",
         outcome.status, outcome.iterations, outcome.queries

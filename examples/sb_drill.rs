@@ -58,11 +58,11 @@ fn main() {
 
     spin_hall_security::obs::enable();
     let config = AttackConfig::with_timeout_secs(300)
-        .with_coi_mode(CoiMode::AutoAt(3_000))
+        .with_coi(CoiMode::AutoAt(3_000))
         .with_simplify(simplify);
-    let mut oracle = NetlistOracle::new(&nl);
+    let runner = AttackRunner::with_config(AttackKind::Sat, config, 0);
     let t = Instant::now();
-    let out = sat_attack(&keyed, &mut oracle, &config);
+    let out = runner.run(&keyed, &mut OracleStack::exact(&nl));
     let dt = t.elapsed().as_secs_f64();
 
     eprintln!(

@@ -16,12 +16,12 @@ fn main() {
 
     for width in [1usize, 16] {
         let config = AttackConfig::with_timeout_secs(120).with_dip_batch(width);
+        let runner = AttackRunner::with_config(AttackKind::Sat, config, 0);
         let reps = 3;
         let mut best = f64::MAX;
         for _ in 0..reps {
-            let mut oracle = NetlistOracle::new(&nl);
             let t = Instant::now();
-            let out = sat_attack(&keyed, &mut oracle, &config);
+            let out = runner.run(&keyed, &mut OracleStack::exact(&nl));
             let dt = t.elapsed().as_secs_f64();
             assert_eq!(out.status, AttackStatus::Success);
             best = best.min(dt);

@@ -37,12 +37,13 @@ fn main() {
     );
     for accuracy in [1.0, 0.95, 0.90] {
         let eps = 1.0 - accuracy;
+        let runner =
+            AttackRunner::with_config(AttackKind::Sat, AttackConfig::with_timeout_secs(20), 0);
         let outcome = if eps == 0.0 {
-            let mut oracle = NetlistOracle::new(&design);
-            sat_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(20))
+            runner.run(&keyed, &mut OracleStack::exact(&design))
         } else {
-            let mut oracle = StochasticOracle::new(&keyed, eps, 11);
-            sat_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(20))
+            let profile = keyed.uniform_error_profile(eps);
+            runner.run(&keyed, &mut OracleStack::noisy(&keyed, profile, 11))
         };
         let verdict = match outcome.status {
             AttackStatus::Success => {

@@ -2,10 +2,18 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spin_hall_security::attacks::AttackOutcome;
 use spin_hall_security::logic::bench_format::{parse_bench, write_bench, C17_BENCH};
 use spin_hall_security::logic::suites::{benchmark_scaled, spec};
 use spin_hall_security::prelude::*;
-use spin_hall_security::{protect, protect_delay_aware, GsheConfig, RotatingOracle};
+use spin_hall_security::{protect, protect_delay_aware, GsheConfig};
+
+/// One SAT attack on `keyed` through `oracle` within `secs` seconds.
+fn sat(keyed: &KeyedNetlist, oracle: &mut dyn Oracle, secs: u64) -> AttackOutcome {
+    let runner =
+        AttackRunner::with_config(AttackKind::Sat, AttackConfig::with_timeout_secs(secs), 0);
+    runner.run(keyed, oracle)
+}
 
 #[test]
 fn full_pipeline_on_c17() {
@@ -16,12 +24,8 @@ fn full_pipeline_on_c17() {
     let protected = protect(&design, 1.0, 1).expect("camouflage");
     assert_eq!(protected.keyed.key_len(), 24); // 6 gates x 4 bits
 
-    let mut oracle = NetlistOracle::new(&design);
-    let outcome = sat_attack(
-        &protected.keyed,
-        &mut oracle,
-        &AttackConfig::with_timeout_secs(30),
-    );
+    let mut oracle = OracleStack::exact(&design);
+    let outcome = sat(&protected.keyed, &mut oracle, 30);
     assert_eq!(outcome.status, AttackStatus::Success);
     let key = outcome.key.expect("key on success");
     let verdict = verify_key(&design, &protected.keyed, &key).expect("verify");
@@ -39,8 +43,8 @@ fn scheme_ordering_on_shared_selection() {
     for scheme in [CamoScheme::InvBuf, CamoScheme::GsheAll16] {
         let mut rng = StdRng::seed_from_u64(5);
         let keyed = camouflage(&design, &picks, scheme, &mut rng).expect("camouflage");
-        let mut oracle = NetlistOracle::new(&design);
-        let out = sat_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(60));
+        let mut oracle = OracleStack::exact(&design);
+        let out = sat(&keyed, &mut oracle, 60);
         assert_eq!(out.status, AttackStatus::Success, "{scheme}");
         let key = out.key.expect("key");
         assert!(
@@ -67,12 +71,8 @@ fn bench_round_trip_then_protect_then_attack() {
     let text = write_bench(&design);
     let reparsed = parse_bench(&text).expect("round trip");
     let protected = protect(&reparsed, 0.25, 11).expect("camouflage");
-    let mut oracle = NetlistOracle::new(&reparsed);
-    let out = sat_attack(
-        &protected.keyed,
-        &mut oracle,
-        &AttackConfig::with_timeout_secs(30),
-    );
+    let mut oracle = OracleStack::exact(&reparsed);
+    let out = sat(&protected.keyed, &mut oracle, 30);
     assert_eq!(out.status, AttackStatus::Success);
     let v = verify_key(&reparsed, &protected.keyed, &out.key.expect("key")).expect("verify");
     assert!(v.functionally_equivalent);
@@ -103,12 +103,12 @@ fn stochastic_oracle_breaks_attack_end_to_end() {
     let protected = protect(&design, 0.4, 23).expect("camouflage");
     let mut broken = 0;
     for seed in 0..3 {
-        let mut oracle = StochasticOracle::new(&protected.keyed, 0.2, seed);
-        let out = sat_attack(
+        let mut oracle = OracleStack::noisy(
             &protected.keyed,
-            &mut oracle,
-            &AttackConfig::with_timeout_secs(15),
+            protected.keyed.uniform_error_profile(0.2),
+            seed,
         );
+        let out = sat(&protected.keyed, &mut oracle, 15);
         let failed = match out.status {
             AttackStatus::Success => {
                 !verify_key(&design, &protected.keyed, &out.key.expect("key"))
@@ -129,12 +129,8 @@ fn stochastic_oracle_breaks_attack_end_to_end() {
 fn rotating_key_oracle_breaks_attack_end_to_end() {
     let design = benchmark_scaled(spec("ex1010").expect("spec"), 80, 31);
     let protected = protect(&design, 0.4, 33).expect("camouflage");
-    let mut oracle = RotatingOracle::new(&protected.keyed, 2, 1);
-    let out = sat_attack(
-        &protected.keyed,
-        &mut oracle,
-        &AttackConfig::with_timeout_secs(15),
-    );
+    let mut oracle = OracleStack::rotating(&protected.keyed, 2, 1);
+    let out = sat(&protected.keyed, &mut oracle, 15);
     let broken = match out.status {
         AttackStatus::Success => {
             !verify_key(&design, &protected.keyed, &out.key.expect("key"))

@@ -25,8 +25,8 @@ fn restart_modes_recover_correct_keys_on_s38584() {
         let config = AttackConfig::with_timeout_secs(120)
             .with_dip_batch(16)
             .with_restart_mode(mode);
-        let mut oracle = NetlistOracle::new(&nl);
-        let out = sat_attack(&keyed, &mut oracle, &config);
+        let runner = AttackRunner::with_config(AttackKind::Sat, config, 0);
+        let out = runner.run(&keyed, &mut OracleStack::exact(&nl));
         assert_eq!(out.status, AttackStatus::Success, "mode {mode:?}");
         let key = out.key.as_ref().expect("successful attack returns a key");
         let check = verify_key(&nl, &keyed, key).expect("verification runs");
