@@ -27,77 +27,41 @@
 //!
 //! The DIP loop then runs unchanged on the cone instance and the
 //! recovered cone key is [expanded](CoiProjection::expand_key) to a full
-//! key. [`CoiMode::Auto`] (the [`AttackConfig`](crate::AttackConfig)
-//! default) applies the reduction only above
-//! [`COI_AUTO_THRESHOLD`] nodes, keeping small historical instances on
-//! the byte-identical full-miter path.
+//! key. [`CoiMode::On`], the [`AttackConfig`](crate::AttackConfig)
+//! default, applies the reduction at every design size: on the benchmark
+//! workloads it never lost to the full miter, even on small designs.
 
 use crate::oracle::Oracle;
 use gshe_camo::{CamoGate, KeyedNetlist};
 use gshe_logic::{NodeId, PatternBlock};
 
-/// Smallest full-design node count at which [`CoiMode::Auto`] switches
-/// the attack onto the cone-of-influence miter. Below this the full
-/// miter is cheap and the historical operation sequence (variable
-/// numbering, seeded outcomes) is preserved bit-for-bit.
-pub const COI_AUTO_THRESHOLD: usize = 100_000;
-
 /// Whether the DIP engine reduces the miter to the cone of influence of
 /// the cloaked cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoiMode {
-    /// Reduce only when the design has at least [`COI_AUTO_THRESHOLD`]
-    /// nodes (the default: large designs get the reduction, small
-    /// seeded instances keep their historical byte-identical trace).
+    /// Reduce whenever the cone is a strict subset of the design (the
+    /// default).
     #[default]
-    Auto,
-    /// Like [`CoiMode::Auto`] with a caller-chosen node threshold.
-    AutoAt(usize),
-    /// Always reduce (when the cone is a strict subset).
     On,
-    /// Never reduce.
+    /// Never reduce: the full-miter reference.
     Off,
 }
 
 impl CoiMode {
-    /// The node-count threshold at or above which this mode engages the
-    /// reduction, or `None` when it never engages.
-    pub fn threshold(self) -> Option<usize> {
-        match self {
-            CoiMode::Auto => Some(COI_AUTO_THRESHOLD),
-            CoiMode::AutoAt(t) => Some(t),
-            CoiMode::On => Some(0),
-            CoiMode::Off => None,
-        }
-    }
-
-    /// Whether this mode engages the reduction on a design of `nodes`
-    /// nodes. The affected-output preconditions (non-empty strict subset)
-    /// are checked separately by [`CoiProjection::build`].
-    pub fn engages(self, nodes: usize) -> bool {
-        self.threshold().is_some_and(|t| nodes >= t)
-    }
-
-    /// Parses `"auto"`, `"on"`, `"off"`, or `"auto:<nodes>"`.
+    /// Parses `"on"` or `"off"`.
     pub fn parse(s: &str) -> Option<CoiMode> {
         match s {
-            "auto" => Some(CoiMode::Auto),
             "on" => Some(CoiMode::On),
             "off" => Some(CoiMode::Off),
-            _ => {
-                let t = s.strip_prefix("auto:")?;
-                t.parse::<usize>().ok().map(CoiMode::AutoAt)
-            }
+            _ => None,
         }
     }
 
     /// The spec-file spelling accepted by [`CoiMode::parse`].
-    pub fn name(&self) -> String {
+    pub fn name(self) -> &'static str {
         match self {
-            CoiMode::Auto => "auto".to_string(),
-            CoiMode::AutoAt(t) => format!("auto:{t}"),
-            CoiMode::On => "on".to_string(),
-            CoiMode::Off => "off".to_string(),
+            CoiMode::On => "on",
+            CoiMode::Off => "off",
         }
     }
 }
@@ -105,15 +69,15 @@ impl CoiMode {
 /// Full-design **input ordinals** feeding the cone the DIP engine will
 /// attack under `mode`, or `None` when the engine stays on the full
 /// miter. This mirrors [`CoiProjection::build`]'s engagement decision
-/// exactly — same mode gate, same affected-output preconditions — but
+/// exactly — same mode, same affected-output preconditions — but
 /// costs only two linear sweeps and materializes nothing, so callers
 /// (the campaign's cone-keyed oracle cache) can key on the cone inputs
 /// *before* the attack runs without risking a key-aliasing mismatch.
 pub fn cone_inputs(keyed: &KeyedNetlist, mode: CoiMode) -> Option<Vec<usize>> {
-    let nl = keyed.netlist();
-    if !mode.engages(nl.len()) {
+    if mode == CoiMode::Off {
         return None;
     }
+    let nl = keyed.netlist();
     let affected = affected_outputs_of(keyed)?;
 
     // Reverse sweep: transitive fanin of the affected outputs. Node ids
@@ -189,15 +153,15 @@ pub struct CoiProjection {
 
 impl CoiProjection {
     /// Builds the projection for `keyed` under `mode`, or `None` when the
-    /// attack should run on the full design: mode [`CoiMode::Off`], an
-    /// [`CoiMode::Auto`] design below the threshold, no affected outputs
-    /// (the key is unconstrained — the full miter converges immediately),
-    /// or every output affected (no reduction to be had).
+    /// attack should run on the full design: mode [`CoiMode::Off`], no
+    /// affected outputs (the key is unconstrained — the full miter
+    /// converges immediately), or every output affected (no reduction to
+    /// be had).
     pub fn build(keyed: &KeyedNetlist, mode: CoiMode) -> Option<CoiProjection> {
-        let nl = keyed.netlist();
-        if !mode.engages(nl.len()) {
+        if mode == CoiMode::Off {
             return None;
         }
+        let nl = keyed.netlist();
         let affected = affected_outputs_of(keyed)?;
         let mut is_affected = vec![false; nl.len()];
         for &o in &affected {
@@ -411,13 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_mode_keeps_small_designs_on_the_full_path() {
-        let (_, keyed) = split_design();
-        assert!(CoiProjection::build(&keyed, CoiMode::Auto).is_none());
-        assert!(CoiProjection::build(&keyed, CoiMode::Off).is_none());
-    }
-
-    #[test]
     fn fully_affected_designs_skip_the_projection() {
         // Every output in the cloaked cells' cone: nothing to reduce.
         let nl = NetlistGenerator::new(GeneratorConfig::new("t", 8, 2, 60).with_seed(1))
@@ -499,15 +456,8 @@ mod tests {
     fn cone_inputs_matches_projection_engagement_and_map() {
         let (_, keyed) = split_design();
         // The cheap sweep and the full build must agree on engagement for
-        // every mode, and on the input set whenever both engage.
-        for mode in [
-            CoiMode::Auto,
-            CoiMode::On,
-            CoiMode::Off,
-            CoiMode::AutoAt(0),
-            CoiMode::AutoAt(3),
-            CoiMode::AutoAt(1_000_000),
-        ] {
+        // both modes, and on the input set whenever both engage.
+        for mode in [CoiMode::On, CoiMode::Off] {
             let inputs = cone_inputs(&keyed, mode);
             let proj = CoiProjection::build(&keyed, mode);
             assert_eq!(inputs.is_some(), proj.is_some(), "{mode:?}");
@@ -517,37 +467,20 @@ mod tests {
                 assert_eq!(inputs, from_proj, "{mode:?}");
             }
         }
-        // An AutoAt threshold at or below the node count engages, above
-        // it does not.
-        let n = keyed.netlist().len();
-        assert!(cone_inputs(&keyed, CoiMode::AutoAt(n)).is_some());
-        assert!(cone_inputs(&keyed, CoiMode::AutoAt(n + 1)).is_none());
+        // On engages on this small design; Off never does.
+        assert!(cone_inputs(&keyed, CoiMode::On).is_some());
+        assert!(cone_inputs(&keyed, CoiMode::Off).is_none());
     }
 
     #[test]
     fn coi_mode_parse_round_trips() {
-        for (text, mode) in [
-            ("auto", CoiMode::Auto),
-            ("on", CoiMode::On),
-            ("off", CoiMode::Off),
-            ("auto:20000", CoiMode::AutoAt(20_000)),
-        ] {
+        for (text, mode) in [("on", CoiMode::On), ("off", CoiMode::Off)] {
             assert_eq!(CoiMode::parse(text), Some(mode));
             assert_eq!(mode.name(), text);
         }
-        assert_eq!(CoiMode::parse("auto:"), None);
-        assert_eq!(CoiMode::parse("sometimes"), None);
-        assert_eq!(CoiMode::Auto.threshold(), Some(COI_AUTO_THRESHOLD));
-        assert!(!CoiMode::Off.engages(usize::MAX));
-        assert!(CoiMode::On.engages(0));
-    }
-
-    #[test]
-    fn auto_at_engages_small_designs_through_the_engine() {
-        let (nl, keyed) = split_design();
-        let proj = CoiProjection::build(&keyed, CoiMode::AutoAt(4)).expect("above threshold");
-        assert!(proj.cone_len() < nl.len());
-        // And the default threshold keeps the same design on the full path.
-        assert!(CoiProjection::build(&keyed, CoiMode::Auto).is_none());
+        for text in ["auto", "auto:5", "auto:", "sometimes"] {
+            assert_eq!(CoiMode::parse(text), None, "{text}");
+        }
+        assert_eq!(CoiMode::default(), CoiMode::On);
     }
 }

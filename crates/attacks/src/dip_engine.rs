@@ -13,50 +13,30 @@
 //! single-DIP mop-up phase) and the per-round extras (AppSAT's random
 //! reinforcement and approximate early exit).
 //!
-//! ## Batched DIP discovery
+//! Every round is one incremental solve, one scalar [`Oracle::query`] on
+//! the discovered input, and one pin per key copy: the copy's outputs on
+//! that input, encoded constant-folded ([`encode_keyed_fixed`]), are
+//! asserted equal to the observation. When the cloaked cells reach only
+//! some of the outputs, the loop runs on their cone of influence
+//! ([`crate::coi`]) instead of the full design.
 //!
-//! The loop discovers up to [`AttackConfig::dip_batch`] DIPs per solver
-//! round. After each model, every key copy's outputs on the discovered
-//! input are encoded once ([`encode_keyed_fixed`]) and the copies are
-//! asserted to **agree** on them ([`assert_outputs_agree`]) — without
-//! pinning to the (still unknown) oracle value. That *class-split
-//! blocking* forces the re-solved miter — an incremental continuation,
-//! not a fresh solve — onto a key-class split no batched DIP already
-//! witnesses, so a batch cannot fill up with redundant patterns that
-//! split the same classes. The whole batch is then answered by **one**
-//! [`Oracle::query_block`] call (64 patterns per pass of the bit-parallel
-//! engine) instead of one scalar query per iteration, and the stored
-//! output signals are pinned to the observations. Agreement constraints
-//! are sound to keep permanently: once a DIP's observation pins every
-//! copy to the same constants, the agreement is implied.
-//!
-//! At `dip_batch = 1` (the default) every round is one solve, one scalar
-//! `Oracle::query` and one constraint pin, in the order of the classic
-//! one-DIP-per-iteration loop. Larger widths trade mildly weaker per-DIP pruning (a
-//! batch is discovered before its own observations constrain the miter)
-//! for the block-oracle and warm-resolve throughput win;
-//! [`DEFAULT_BATCH_WIDTH`] is the recommended setting for
-//! throughput-oriented runs.
+//! One DIP per solve is deliberate: discovering several DIPs per solve
+//! and answering them with one bit-parallel block query measured slower
+//! end to end on every benchmark workload.
 
 use crate::coi::{CoiMode, CoiOracle, CoiProjection};
 use crate::encode::{
-    assert_outputs_agree, assert_outputs_equal, assert_valid_key_codes, encode_keyed,
-    encode_keyed_fixed, SigVal,
+    assert_outputs_equal, assert_valid_key_codes, encode_keyed, encode_keyed_fixed,
 };
 use crate::oracle::Oracle;
 use crate::runner::{AttackConfig, AttackOutcome, AttackStatus};
 use gshe_camo::KeyedNetlist;
 use gshe_logic::{PatternBlock, Simulator};
 use gshe_sat::solver::Budget;
-use gshe_sat::{CircuitEncoder, Lit, Polarity, SearchConfig, SolveResult, Solver};
+use gshe_sat::{CircuitEncoder, Lit, Polarity, SolveResult, Solver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-
-/// Recommended [`AttackConfig::dip_batch`] for throughput-oriented runs:
-/// deep enough to amortize the oracle's bit-parallel pass, shallow enough
-/// that intra-batch pruning loss stays small.
-pub const DEFAULT_BATCH_WIDTH: usize = 16;
 
 /// How the shared refinement loop specializes into a concrete attack.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,48 +105,19 @@ pub(crate) fn solve_sliced(
     }
 }
 
-/// Installs one batch entry's class-split blocker: encodes every key
-/// copy's outputs on the fixed input `dip` (once — the returned signals
-/// are pinned to the oracle's answer after the batch resolves) and
-/// asserts the copies agree on them, chained pairwise. Under the miter
-/// this makes the discovered input pattern (and every pattern splitting
-/// only already-witnessed key classes) unsatisfiable, so no separate
-/// input-blocking clause is needed. See the module docs.
-fn encode_agreement(
-    solver: &mut Solver,
-    keyed: &KeyedNetlist,
-    keys: &[Vec<Lit>],
-    dip: &[bool],
-) -> Vec<Vec<SigVal>> {
-    let mut enc = CircuitEncoder::new(solver);
-    let per_key: Vec<Vec<SigVal>> = keys
-        .iter()
-        .map(|key| encode_keyed_fixed(&mut enc, keyed, key, dip))
-        .collect();
-    for pair in per_key.windows(2) {
-        assert_outputs_agree(&mut enc, &pair[0], &pair[1]);
-    }
-    per_key
-}
-
 /// Mutable AppSAT bookkeeping across rounds.
 struct AppSatState {
     rng: StdRng,
     reinforce_every: u64,
     samples_per_round: usize,
     error_threshold: f64,
-    /// Reinforcement rounds already run (`iterations / reinforce_every`
-    /// high-water mark, so batches that cross several multiples at once
-    /// still run exactly one round).
-    rounds: u64,
 }
 
 /// A terminal decision reached inside the loop: status plus extracted key.
 type Terminal = (AttackStatus, Option<Vec<bool>>);
 
 /// Runs the DIP-refinement loop for `policy` against `keyed`, resolving
-/// discriminating inputs through `oracle`, under `config`'s budgets and
-/// batch width.
+/// discriminating inputs through `oracle`, under `config`'s budgets.
 pub(crate) fn refine(
     keyed: &KeyedNetlist,
     oracle: &mut dyn Oracle,
@@ -208,7 +159,6 @@ pub(crate) fn refine(
             reinforce_every,
             samples_per_round,
             error_threshold,
-            rounds: 0,
         }),
         _ => None,
     };
@@ -216,10 +166,6 @@ pub(crate) fn refine(
     solver.set_budget(Budget {
         max_conflicts: None,
         max_vars: config.max_vars,
-    });
-    solver.set_search_config(SearchConfig {
-        restart: config.restart_mode,
-        ..SearchConfig::default()
     });
     solver.set_simplify(config.simplify);
 
@@ -306,8 +252,8 @@ pub(crate) fn refine(
     // the first solve, so every literal this loop later reads from a model
     // (key bits, primary inputs) or reuses across solves (the phase
     // assumption literals) must be protected from variable elimination.
-    // Variables created after preprocessing (fixed-copy encodings,
-    // agreement blockers, AppSAT reinforcement) are automatically safe.
+    // Variables created after preprocessing (fixed-copy encodings and
+    // AppSAT reinforcement) are automatically safe.
     for k in &keys {
         for &l in k {
             solver.freeze(l.var());
@@ -324,7 +270,6 @@ pub(crate) fn refine(
 
     let mut iterations = 0u64;
     let queries_before = oracle.queries();
-    let width = config.dip_batch.clamp(1, 64);
 
     let finish = |status: AttackStatus,
                   key: Option<Vec<bool>>,
@@ -364,7 +309,7 @@ pub(crate) fn refine(
     };
 
     for assumptions in &phases {
-        'refine: loop {
+        loop {
             if Instant::now() >= deadline {
                 return finish(AttackStatus::Timeout, None, iterations, &solver, oracle);
             }
@@ -389,89 +334,19 @@ pub(crate) fn refine(
                         oracle,
                     )
                 }
-                Some(SolveResult::Unsat) => break 'refine, // phase converged
+                Some(SolveResult::Unsat) => break, // phase converged
                 Some(SolveResult::Sat) => {
                     iterations += 1;
                     gshe_obs::count("attack.rounds", 1);
-                    let first: Vec<bool> =
-                        input_lits.iter().map(|&l| solver.model_lit(l)).collect();
-                    let mut converged = false;
-                    if width == 1 {
-                        // Historical scalar round: query the oracle, then
-                        // encode and pin both observations (the exact
-                        // pre-engine operation sequence).
-                        gshe_obs::record("attack.dip_batch_fill", 1);
-                        let y = {
-                            let _span = gshe_obs::span("attack.oracle");
-                            oracle.query(&first)
-                        };
-                        let mut enc = CircuitEncoder::new(&mut solver);
-                        for key in &keys {
-                            let outs = encode_keyed_fixed(&mut enc, keyed, key, &first);
-                            assert_outputs_equal(&mut enc, &outs, &y);
-                        }
-                    } else {
-                        // Batched discovery: assert the copies *agree* on
-                        // each discovered DIP (class-split blocking) and
-                        // re-solve for a DIP witnessing a fresh split,
-                        // before touching the oracle. An UNSAT here means
-                        // the phase has converged — the agreement
-                        // constraints are implied by the observations
-                        // pinned below, so the outer re-solve is skipped.
-                        let mut batch: Vec<(Vec<bool>, Vec<Vec<SigVal>>)> = vec![(
-                            first.clone(),
-                            encode_agreement(&mut solver, keyed, &keys, &first),
-                        )];
-                        while batch.len() < width {
-                            if Instant::now() >= deadline {
-                                break;
-                            }
-                            if let Some(max) = config.max_iterations {
-                                if iterations >= max {
-                                    break;
-                                }
-                            }
-                            match solve_sliced(
-                                &mut solver,
-                                assumptions,
-                                deadline,
-                                config.conflicts_per_slice,
-                            ) {
-                                Some(SolveResult::Sat) => {
-                                    iterations += 1;
-                                    let dip: Vec<bool> =
-                                        input_lits.iter().map(|&l| solver.model_lit(l)).collect();
-                                    let outs = encode_agreement(&mut solver, keyed, &keys, &dip);
-                                    batch.push((dip, outs));
-                                }
-                                Some(SolveResult::Unsat) => {
-                                    converged = true;
-                                    break;
-                                }
-                                // Deadline/budget exhaustion mid-batch:
-                                // resolve what we have; the outer solve
-                                // re-diagnoses.
-                                None | Some(SolveResult::Unknown) => break,
-                            }
-                        }
-                        // The whole batch through the oracle in one
-                        // bit-parallel pass, then pin the stored output
-                        // signals to the observations.
-                        let patterns: Vec<Vec<bool>> =
-                            batch.iter().map(|(dip, _)| dip.clone()).collect();
-                        gshe_obs::record("attack.dip_batch_fill", batch.len() as u64);
-                        let lanes = {
-                            let _span = gshe_obs::span("attack.oracle");
-                            oracle.query_block(&PatternBlock::from_patterns(&patterns))
-                        };
-                        let mut enc = CircuitEncoder::new(&mut solver);
-                        for (k, (_, per_key)) in batch.iter().enumerate() {
-                            let y: Vec<bool> =
-                                lanes.iter().map(|lane| (lane >> k) & 1 == 1).collect();
-                            for outs in per_key {
-                                assert_outputs_equal(&mut enc, outs, &y);
-                            }
-                        }
+                    let dip: Vec<bool> = input_lits.iter().map(|&l| solver.model_lit(l)).collect();
+                    let y = {
+                        let _span = gshe_obs::span("attack.oracle");
+                        oracle.query(&dip)
+                    };
+                    let mut enc = CircuitEncoder::new(&mut solver);
+                    for key in &keys {
+                        let outs = encode_keyed_fixed(&mut enc, keyed, key, &dip);
+                        assert_outputs_equal(&mut enc, &outs, &y);
                     }
                     if let Some(state) = appsat.as_mut() {
                         if let Some((status, key)) = appsat_round(
@@ -487,9 +362,6 @@ pub(crate) fn refine(
                         ) {
                             return finish(status, key, iterations, &solver, oracle);
                         }
-                    }
-                    if converged {
-                        break 'refine;
                     }
                 }
             }
@@ -527,7 +399,7 @@ pub(crate) fn refine(
     }
 }
 
-/// One AppSAT reinforcement round, run whenever the DIP count crosses a
+/// One AppSAT reinforcement round, run whenever the DIP count reaches a
 /// `reinforce_every` multiple: extract a candidate key, estimate its error
 /// on random block queries, exit early below the threshold, otherwise
 /// reinforce the solver with the mismatching observations. Returns a
@@ -545,10 +417,9 @@ fn appsat_round(
     config: &AttackConfig,
     iterations: u64,
 ) -> Option<Terminal> {
-    if state.reinforce_every == 0 || iterations / state.reinforce_every <= state.rounds {
+    if state.reinforce_every == 0 || !iterations.is_multiple_of(state.reinforce_every) {
         return None;
     }
-    state.rounds = iterations / state.reinforce_every;
 
     // Candidate key: any key consistent so far.
     let candidate = match solve_sliced(solver, &[], deadline, config.conflicts_per_slice) {
@@ -621,8 +492,8 @@ mod tests {
     use gshe_logic::{GeneratorConfig, Netlist, NetlistGenerator};
 
     fn keyed_instance(seed: u64) -> (Netlist, gshe_camo::KeyedNetlist) {
-        // 12 inputs / moderate key: tractable in well under a second at
-        // every batch width, hard enough that refinement actually loops.
+        // 12 inputs / moderate key: tractable in well under a second,
+        // hard enough that refinement actually loops.
         let nl = NetlistGenerator::new(GeneratorConfig::new("t", 12, 6, 120).with_seed(seed))
             .unwrap()
             .generate();
@@ -633,63 +504,10 @@ mod tests {
     }
 
     #[test]
-    fn every_batch_width_recovers_a_correct_key() {
-        let (nl, keyed) = keyed_instance(2);
-        for width in [1usize, 2, 16, 64] {
-            let config = AttackConfig::with_timeout_secs(30).with_dip_batch(width);
-            let mut oracle = OracleStack::exact(&nl);
-            let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
-            assert_eq!(out.status, AttackStatus::Success, "width {width}");
-            let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
-            assert!(v.functionally_equivalent, "width {width}");
-            // Block accounting stays per-pattern: every discovered DIP is
-            // exactly one oracle query regardless of batching.
-            assert_eq!(out.queries, out.iterations, "width {width}");
-        }
-    }
-
-    #[test]
-    fn batched_double_dip_recovers_a_correct_key() {
-        let (nl, keyed) = keyed_instance(4);
-        let config = AttackConfig::with_timeout_secs(30).with_dip_batch(DEFAULT_BATCH_WIDTH);
-        let mut oracle = OracleStack::exact(&nl);
-        let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::DoubleDip);
-        assert_eq!(out.status, AttackStatus::Success);
-        let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
-        assert!(v.functionally_equivalent);
-    }
-
-    #[test]
-    fn batched_rounds_still_collapse_against_noise() {
-        // The stochastic defense must beat the batched engine exactly as it
-        // beats the scalar loop.
-        let (nl, keyed) = keyed_instance(6);
-        let mut broken = 0;
-        let trials = 3;
-        for seed in 0..trials {
-            let mut oracle = OracleStack::noisy(&keyed, keyed.uniform_error_profile(0.25), seed);
-            let config = AttackConfig::with_timeout_secs(20).with_dip_batch(16);
-            let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
-            let failed = match out.status {
-                AttackStatus::Inconsistent => true,
-                AttackStatus::Success => {
-                    !verify_key(&nl, &keyed, out.key.as_ref().unwrap())
-                        .unwrap()
-                        .functionally_equivalent
-                }
-                _ => true,
-            };
-            broken += failed as usize;
-        }
-        assert!(broken >= trials as usize - 1, "batched attack beat noise");
-    }
-
-    #[test]
-    fn zero_input_circuit_is_safe_at_every_batch_width() {
-        // A key-only circuit has no primary inputs: the batch's single
-        // (empty) "pattern" is excluded purely by the agreement
-        // constraints, and every width must agree with width 1 — nothing
-        // in the batched path may degenerate over zero input literals.
+    fn zero_input_circuit_is_safe() {
+        // A key-only circuit has no primary inputs: the one (empty) DIP
+        // pins both key copies, and nothing in the loop may degenerate
+        // over zero input literals.
         use gshe_camo::{CamoGate, Candidates, KeyedNetlist};
         use gshe_logic::{Bf2, NetlistBuilder};
         let mut b = NetlistBuilder::new("t");
@@ -705,61 +523,25 @@ mod tests {
             correct_index: Bf2::AND.truth_table() as usize,
         };
         let keyed = KeyedNetlist::new(nl.clone(), vec![gate], 4);
-        for width in [1usize, 2, 16] {
-            let config = AttackConfig::with_timeout_secs(10).with_dip_batch(width);
-            let mut oracle = OracleStack::exact(&nl);
-            let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
-            assert_eq!(out.status, AttackStatus::Success, "width {width}");
-            let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
-            assert!(v.functionally_equivalent, "width {width}");
-        }
+        let config = AttackConfig::with_timeout_secs(10);
+        let mut oracle = OracleStack::exact(&nl);
+        let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
+        assert_eq!(out.status, AttackStatus::Success);
+        let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
+        assert!(v.functionally_equivalent);
     }
 
     #[test]
-    fn tiny_input_space_survives_batch_enumeration() {
-        // Regression: a batch wide enough to enumerate *every* input
-        // pattern of a small circuit must not poison key extraction. The
-        // engine blocks batched DIPs only through agreement constraints,
-        // which the oracle pins later imply — a literal input-blocking
-        // clause here once turned the assumption-free extraction solve
-        // UNSAT (false Inconsistent) at widths > 1.
-        use gshe_camo::{CamoGate, Candidates, KeyedNetlist};
-        use gshe_logic::{Bf2, NetlistBuilder};
-        let mut b = NetlistBuilder::new("t");
-        let a = b.input("a");
-        let c = b.input("b");
-        let g = b.gate2("g", Bf2::AND, a, c);
-        b.output(g);
-        let nl = b.finish().unwrap();
-        let gate = CamoGate {
-            node: g,
-            candidates: Candidates::TwoInput(Bf2::ALL.to_vec()),
-            key_offset: 0,
-            correct_index: Bf2::AND.truth_table() as usize,
-        };
-        let keyed = KeyedNetlist::new(nl.clone(), vec![gate], 4);
-        for width in [1usize, 4, 16] {
-            let config = AttackConfig::with_timeout_secs(10).with_dip_batch(width);
-            let mut oracle = OracleStack::exact(&nl);
-            let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
-            assert_eq!(out.status, AttackStatus::Success, "width {width}");
-            let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
-            assert!(v.functionally_equivalent, "width {width}");
-        }
-    }
-
-    #[test]
-    fn max_iterations_caps_batched_discovery() {
-        // The iteration cap must bite *inside* a batch, not just between
-        // rounds.
+    fn max_iterations_caps_discovery() {
         let (nl, keyed) = keyed_instance(2);
         let config = AttackConfig {
             max_iterations: Some(3),
-            ..AttackConfig::with_timeout_secs(30).with_dip_batch(64)
+            ..AttackConfig::with_timeout_secs(30)
         };
         let mut oracle = OracleStack::exact(&nl);
         let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
-        assert!(out.iterations <= 3, "{} iterations", out.iterations);
+        assert_eq!(out.iterations, 3);
+        assert_eq!(out.queries, 3);
         assert_eq!(out.status, AttackStatus::Timeout);
     }
 

@@ -10,9 +10,9 @@
 //!   approximate attack (Shamsi et al. \[11\]), which interleaves
 //!   random-query error estimation with early exit;
 //! * the shared [`dip_engine`] behind it: one miter/constraint-accumulation
-//!   loop under three policies, discovering up to
-//!   [`AttackConfig::dip_batch`] DIPs per solver round and resolving each
-//!   batch through **one** bit-parallel [`Oracle::query_block`] call;
+//!   loop under three policies — one solve, one oracle query and one pin
+//!   per round — run on the cloaked cells' cone of influence ([`coi`])
+//!   whenever that cone leaves some outputs out;
 //! * the working chip as one layered [`OracleStack`]: a bit-parallel base
 //!   (exact, or fault-injecting per an error profile — the tunable
 //!   **stochastic** GSHE chip of Sec. V-B, whose per-cell error rates
@@ -40,10 +40,9 @@ pub mod runner;
 pub mod stack;
 mod strash;
 
-pub use coi::{cone_inputs, CoiMode, CoiOracle, CoiProjection, COI_AUTO_THRESHOLD};
-pub use dip_engine::DEFAULT_BATCH_WIDTH;
+pub use coi::{cone_inputs, CoiMode, CoiOracle, CoiProjection};
 pub use encode::{assert_valid_key_codes, encode_keyed, encode_keyed_fixed, EncodedCopy};
-pub use gshe_sat::{RestartMode, SimplifyMode};
+pub use gshe_sat::SimplifyMode;
 pub use metrics::{verify_key, verify_key_scoped, verify_key_until, KeyVerification};
 pub use oracle::Oracle;
 pub use runner::{AttackConfig, AttackKind, AttackOutcome, AttackRunner, AttackStatus};

@@ -12,7 +12,7 @@ use crate::coi::CoiMode;
 use crate::dip_engine::{refine, RefinePolicy};
 use crate::oracle::Oracle;
 use gshe_camo::KeyedNetlist;
-use gshe_sat::{RestartMode, SimplifyMode, SolverStats};
+use gshe_sat::{SimplifyMode, SolverStats};
 use std::time::Duration;
 
 /// Attack configuration.
@@ -28,21 +28,9 @@ pub struct AttackConfig {
     pub conflicts_per_slice: u64,
     /// Variable budget (mirrors the paper's lglib 134M-variable failure).
     pub max_vars: Option<usize>,
-    /// DIPs discovered per solver round (clamped to `1..=64`): the round's
-    /// patterns are answered by **one** bit-parallel
-    /// [`Oracle::query_block`] call instead of one scalar query each. `1`
-    /// (the default) is the classic one-query-per-iteration loop;
-    /// [`crate::dip_engine::DEFAULT_BATCH_WIDTH`] is the recommended
-    /// throughput setting.
-    pub dip_batch: usize,
-    /// Restart pacing for the shared solver:
-    /// [`RestartMode::LbdEma`] (Glucose-style adaptive, the default) or
-    /// [`RestartMode::Luby`].
-    pub restart_mode: RestartMode,
-    /// Cone-of-influence miter reduction ([`CoiMode::Auto`] by default:
-    /// designs with at least [`crate::coi::COI_AUTO_THRESHOLD`] nodes
-    /// are attacked through the cloaked cells' output cone; smaller
-    /// instances keep the historical full-miter trace bit-for-bit).
+    /// Cone-of-influence miter reduction ([`CoiMode::On`] by default: a
+    /// design whose cloaked cells reach only some outputs is attacked
+    /// through their cone; [`CoiMode::Off`] keeps the full miter).
     pub coi: CoiMode,
     /// SAT simplification for the shared incremental solver
     /// ([`SimplifyMode::Auto`] by default: instances with at least
@@ -62,8 +50,6 @@ impl Default for AttackConfig {
             max_iterations: None,
             conflicts_per_slice: 20_000,
             max_vars: Some(134_217_724),
-            dip_batch: 1,
-            restart_mode: RestartMode::default(),
             coi: CoiMode::default(),
             simplify: SimplifyMode::default(),
         }
@@ -76,22 +62,6 @@ impl AttackConfig {
         AttackConfig {
             timeout: Duration::from_secs(secs),
             ..Default::default()
-        }
-    }
-
-    /// Returns the configuration with the DIP batch width set to `width`.
-    pub fn with_dip_batch(self, width: usize) -> Self {
-        AttackConfig {
-            dip_batch: width,
-            ..self
-        }
-    }
-
-    /// Returns the configuration with the solver restart mode set.
-    pub fn with_restart_mode(self, restart_mode: RestartMode) -> Self {
-        AttackConfig {
-            restart_mode,
-            ..self
         }
     }
 
@@ -284,19 +254,6 @@ mod tests {
             ));
             breaks(kind, &nl, &keyed, AttackConfig::with_timeout_secs(30));
         }
-    }
-
-    #[test]
-    fn with_config_and_batch_width_reach_the_engine() {
-        // A width-16 runner must still break the instance.
-        let nl = parse_bench(C17_BENCH).unwrap();
-        let keyed = keyed_over(&nl, 1.0, 5, CamoScheme::GsheAll16);
-        breaks(
-            AttackKind::Sat,
-            &nl,
-            &keyed,
-            AttackConfig::with_timeout_secs(30).with_dip_batch(16),
-        );
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Oracle query-path benchmarks: the bit-parallel block path vs. 64
 //! pattern-at-a-time scalar queries, for the deterministic chip and the
-//! stochastic (noise-engine) chip of Sec. V-B — plus the **batched-DIP**
-//! attack benchmark measuring the unified engine's end-to-end win.
+//! stochastic (noise-engine) chip of Sec. V-B — plus end-to-end attack
+//! benchmarks on the same benchmark.
 //!
 //! The acceptance target for the noise-aware engine is a ≥10× speedup of
 //! the noisy stack's `query_block` over 64 scalar `query` calls on an
-//! ISCAS-89 s-suite benchmark (s38584, scaled); for the batched DIP
-//! engine it is a wall-clock reduction of the full SAT attack at batch
-//! width 16 vs. width 1 on the same benchmark.
+//! ISCAS-89 s-suite benchmark (s38584, scaled).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gshe_core::attacks::AttackOutcome;
@@ -17,7 +15,7 @@ use gshe_core::campaign::EvalSession;
 use gshe_core::logic::{suites, FaultSimulator, Netlist, PatternBlock};
 use gshe_core::prelude::{
     camouflage, select_gates, AttackConfig, AttackKind, AttackRunner, AttackStatus, CamoScheme,
-    KeyedNetlist, Oracle, RestartMode,
+    KeyedNetlist, Oracle,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -153,61 +151,26 @@ fn bench_obs_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The unified DIP-refinement engine end to end: the full SAT attack on
-/// s38584 (scaled 1/40, 5% protection) at batch width 1 (the historical
-/// one-query-per-iteration loop) vs. width 16 (class-split-blocked batch
-/// discovery resolved through one `query_block` per round). The batched
-/// rounds must *reduce* wall-clock, not just oracle calls — this is the
-/// measured form of the speedup claim.
-fn bench_batched_dip(c: &mut Criterion) {
+/// The DIP-refinement engine end to end: the full SAT attack on s38584
+/// (scaled 1/40, 5% protection) — one solve, one oracle query and one pin
+/// per round, on the shared incremental CDCL solver. Pair with
+/// `examples/solver_baseline_timing` for a quick non-criterion reading.
+fn bench_sat_attack(c: &mut Criterion) {
     let (nl, keyed) = s38584_keyed_at(0.05);
-    let mut group = c.benchmark_group("batched_dip_s38584");
-
-    for width in [1usize, 16] {
-        let config = AttackConfig::with_timeout_secs(120).with_dip_batch(width);
-        group.bench_function(format!("sat_attack_batch_{width}"), |b| {
-            b.iter(|| {
-                let out = attack_exact(&nl, black_box(&keyed), config);
-                assert_eq!(out.status, AttackStatus::Success, "width {width}");
-                black_box(out.iterations)
-            })
-        });
-    }
-
+    let mut group = c.benchmark_group("sat_attack_s38584");
+    let config = AttackConfig::with_timeout_secs(120);
+    group.bench_function("sat_attack", |b| {
+        b.iter(|| {
+            let out = attack_exact(&nl, black_box(&keyed), config);
+            assert_eq!(out.status, AttackStatus::Success);
+            black_box(out.iterations)
+        })
+    });
     group.finish();
 }
 
-/// The incremental CDCL core's two restart pacers head to head on the
-/// full batched SAT attack (s38584 scaled 1/40, 5% protection, batch
-/// width 16): Glucose-style LBD-EMA adaptive restarts (the default) vs.
-/// the legacy Luby schedule. Both run the same arena clause database,
-/// tiered DB reduction, and GC; the gap isolates what adaptive restart
-/// pacing contributes on an incremental enumeration workload.
-fn bench_incremental_solver(c: &mut Criterion) {
-    let (nl, keyed) = s38584_keyed_at(0.05);
-    let mut group = c.benchmark_group("incremental_solver_s38584");
-
-    for (label, mode) in [
-        ("lbd_ema", RestartMode::LbdEma),
-        ("luby", RestartMode::Luby),
-    ] {
-        let config = AttackConfig::with_timeout_secs(120)
-            .with_dip_batch(16)
-            .with_restart_mode(mode);
-        group.bench_function(format!("sat_attack_restart_{label}"), |b| {
-            b.iter(|| {
-                let out = attack_exact(&nl, black_box(&keyed), config);
-                assert_eq!(out.status, AttackStatus::Success, "restart mode {label}");
-                black_box(out.iterations)
-            })
-        });
-    }
-
-    group.finish();
-}
-
-/// One profile-search candidate evaluation (1 trial × SAT at batch width
-/// 16 against the noisy stack) through a **warm** [`EvalSession`] — pool
+/// One profile-search candidate evaluation (1 trial × SAT against the
+/// noisy stack) through a **warm** [`EvalSession`] — pool
 /// up, benchmark and scheme materializations memoized — vs. a **cold**
 /// one rebuilt per evaluation. The gap is what the evaluation-service
 /// refactor buys every candidate after the first; the warm path is the
@@ -270,8 +233,8 @@ fn bench_gates_per_sec(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cone-of-influence miter reduction end to end: the width-16
-/// batched SAT attack on s38584 (scale 4, full 304-output interface, 6
+/// The cone-of-influence miter reduction end to end: the SAT attack on
+/// s38584 (scale 4, full 304-output interface, 6
 /// camouflaged gates) with `CoiMode::On` vs. `CoiMode::Off`. With few
 /// cloaked cells the affected-output cone is a small slice of the
 /// netlist, so the On row encodes and propagates a fraction of the
@@ -290,10 +253,8 @@ fn bench_coi_miter(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("coi_miter_s38584");
     for (label, coi) in [("coi_on", CoiMode::On), ("coi_off", CoiMode::Off)] {
-        let config = AttackConfig::with_timeout_secs(120)
-            .with_dip_batch(16)
-            .with_coi(coi);
-        group.bench_function(format!("sat_attack_w16_{label}"), |b| {
+        let config = AttackConfig::with_timeout_secs(120).with_coi(coi);
+        group.bench_function(format!("sat_attack_{label}"), |b| {
             b.iter(|| {
                 let out = attack_exact(&nl, black_box(&keyed), config);
                 assert_eq!(out.status, AttackStatus::Success, "{label}");
@@ -304,8 +265,8 @@ fn bench_coi_miter(c: &mut Criterion) {
     group.finish();
 }
 
-/// SAT simplification end to end: the width-16 batched attack on the
-/// standard s38584 instance (scale 40, 10% protection) with
+/// SAT simplification end to end: the SAT attack on the standard s38584
+/// instance (scale 40, 10% protection) with
 /// `SimplifyMode::On` — SatELite-style preprocessing of the key-search
 /// miter (subsumption, self-subsumption, bounded variable elimination;
 /// ≥30% clause reduction, pinned by the `simplify_smoke` root test),
@@ -322,10 +283,8 @@ fn bench_simplify_miter(c: &mut Criterion) {
         ("simplify_on", SimplifyMode::On),
         ("simplify_off", SimplifyMode::Off),
     ] {
-        let config = AttackConfig::with_timeout_secs(120)
-            .with_dip_batch(16)
-            .with_simplify(mode);
-        group.bench_function(format!("sat_attack_w16_{label}"), |b| {
+        let config = AttackConfig::with_timeout_secs(120).with_simplify(mode);
+        group.bench_function(format!("sat_attack_{label}"), |b| {
             b.iter(|| {
                 let out = attack_exact(&nl, black_box(&keyed), config);
                 assert_eq!(out.status, AttackStatus::Success, "{label}");
@@ -401,9 +360,9 @@ criterion_group! {
     targets = bench_profile_candidate_score
 }
 criterion_group! {
-    name = batched_dip;
+    name = sat_attack;
     config = Criterion::default().sample_size(5);
-    targets = bench_batched_dip
+    targets = bench_sat_attack
 }
 criterion_group! {
     name = coi_miter;
@@ -416,11 +375,6 @@ criterion_group! {
     targets = bench_simplify_miter
 }
 criterion_group! {
-    name = incremental_solver;
-    config = Criterion::default().sample_size(5);
-    targets = bench_incremental_solver
-}
-criterion_group! {
     name = obs_overhead;
     config = Criterion::default().sample_size(30);
     targets = bench_obs_overhead
@@ -428,10 +382,9 @@ criterion_group! {
 criterion_main!(
     oracle,
     obs_overhead,
-    batched_dip,
+    sat_attack,
     coi_miter,
     simplify_miter,
-    incremental_solver,
     candidate_score,
     coi_cached_oracle
 );

@@ -65,9 +65,8 @@ GRID FLAGS (each overrides the spec file's value):
   --trials N             repeats per grid cell
   --scale N              benchmark scale divisor
   --topology NAME        generator wiring profile: uniform | local
-  --coi-mode MODE        cone-of-influence gating for attacks *and* the
-                         cache's cone-keyed entries: auto | auto:<nodes>
-                         | on | off
+  --coi-mode MODE        cone-of-influence reduction for attacks *and* the
+                         cache's cone-keyed entries: on | off (default on)
   --sat-simplify MODE    solver pre/inprocessing (variable elimination,
                          subsumption, vivification) plus single-sided
                          miter encoding: auto | auto:<clauses> | on | off
@@ -258,7 +257,7 @@ fn main() {
             "--coi-mode" => {
                 spec.coi_mode = gshe_core::attacks::CoiMode::parse(&value).unwrap_or_else(|| {
                     fail(&format!(
-                        "unknown coi mode `{value}` (valid: auto, auto:<nodes>, on, off)"
+                        "unknown coi mode `{value}` (valid: on, off)"
                     ))
                 })
             }

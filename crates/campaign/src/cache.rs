@@ -289,8 +289,8 @@ impl OracleCache {
 /// shared prefix differ, and garbage bits beyond `count` never split
 /// logically-identical blocks).
 ///
-/// Single-pattern blocks — the scalar-query hot path of a `dip_batch=1`
-/// attack — use a dense form instead ([`pack_bits`]): the pattern
+/// Single-pattern blocks — the scalar-query hot path of every DIP round
+/// — use a dense form instead ([`pack_bits`]): the pattern
 /// bit-packed across inputs plus the arity word (`⌈n/64⌉ + 1` words
 /// rather than `n + 1`), so per-query hashing and resident-key size stay
 /// at the pre-block-key level.
@@ -634,7 +634,7 @@ mod tests {
 
     #[test]
     fn single_pattern_keys_are_dense_and_shared_with_scalar_queries() {
-        // The scalar hot path (dip_batch = 1) must not pay n-word keys:
+        // The scalar DIP-round hot path must not pay n-word keys:
         // a single pattern packs to ⌈n/64⌉ + 1 words, and a scalar query
         // and a 1-pattern block query over the same pattern share one
         // entry (both route through the same packed form).

@@ -863,7 +863,7 @@ mod tests {
             cache: OracleCache::shared(),
             params: SwitchParams::table_i(),
             keyed: Arc::new(KeyedMemo::default()),
-            coi_mode: CoiMode::Auto,
+            coi_mode: CoiMode::On,
             sat_simplify: SimplifyMode::Auto,
         };
         let out = run_job(&spec, &ctx);
@@ -890,7 +890,7 @@ mod tests {
             cache: OracleCache::shared(),
             params: SwitchParams::table_i(),
             keyed: Arc::new(KeyedMemo::default()),
-            coi_mode: CoiMode::Auto,
+            coi_mode: CoiMode::On,
             sat_simplify: SimplifyMode::Auto,
         };
         let out = run_job(&spec, &ctx);
@@ -913,7 +913,7 @@ mod tests {
             cache: OracleCache::shared(),
             params: SwitchParams::table_i(),
             keyed: Arc::new(KeyedMemo::default()),
-            coi_mode: CoiMode::Auto,
+            coi_mode: CoiMode::On,
             sat_simplify: SimplifyMode::Auto,
         };
         let out = run_job(&spec, &ctx);

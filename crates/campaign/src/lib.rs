@@ -75,8 +75,7 @@
 //! levels = [0.1, 0.2]        # protection fractions ([0.2])
 //! schemes = ["gshe16"]       # scheme names, or "all" (["gshe16"])
 //! attacks = ["sat"]          # sat | double-dip | appsat (["sat"])
-//! coi_mode = "auto:20000"    # cone-of-influence gating: auto | auto:<n>
-//!                            # | on | off ("auto")
+//! coi_mode = "off"           # cone-of-influence reduction: on | off ("on")
 //! sat_simplify = "auto"      # solver pre/inprocessing + single-sided
 //!                            # encoding: auto | auto:<clauses> | on | off
 //!                            # ("auto")
@@ -767,7 +766,7 @@ mod tests {
             levels: vec![0.15],
             schemes: vec![CamoScheme::InvBuf, CamoScheme::FourFn],
             attacks: vec![AttackKind::Sat],
-            coi_mode: CoiMode::Auto,
+            coi_mode: CoiMode::On,
             sat_simplify: SimplifyMode::Auto,
             error_rates: vec![0.0],
             clock_periods_ns: Vec::new(),

@@ -21,8 +21,7 @@
 //!   when no winner exists yet), dedups against everything already
 //!   scored, and evaluates λ fresh candidates;
 //! * **scoring** runs trials × attacks through the session pool: each
-//!   trial is one [`AttackRunner::run`] at the spec'd batch width
-//!   ([`DEFAULT_BATCH_WIDTH`] by default) against the campaign's
+//!   trial is one [`AttackRunner::run`] against the campaign's
 //!   [`cell_oracle`] for the candidate: a noisy stack, or a rotating noisy
 //!   stack when the spec carries a rotation budget, searching the
 //!   *combined*-defense frontier. The defense wins a trial when the attack fails to recover
@@ -47,13 +46,11 @@ use crate::job::{
 use crate::physical::{is_valid_clock_period, ClockRateTable};
 use crate::report::{json_f64, json_str};
 use crate::spec::{
-    parse_array, parse_scheme, parse_string, parse_string_array, scheme_name, strip_comment,
-    valid_attack_names, valid_scheme_names,
+    check_ranges, parse_array, parse_scheme, parse_string, parse_string_array, scheme_name,
+    strip_comment, valid_attack_names, valid_scheme_names,
 };
 use crate::EvalSession;
-use gshe_attacks::{
-    verify_key, AttackConfig, AttackKind, AttackRunner, AttackStatus, DEFAULT_BATCH_WIDTH,
-};
+use gshe_attacks::{verify_key, AttackConfig, AttackKind, AttackRunner, AttackStatus};
 use gshe_camo::{CamoScheme, KeyedNetlist};
 use gshe_logic::{ErrorProfile, Netlist};
 use rand::rngs::StdRng;
@@ -70,7 +67,7 @@ fn profile_salt(profile: &ErrorProfile) -> u64 {
 }
 
 /// The valid TOML keys of a search spec, in documentation order.
-pub const SEARCH_KEYS: [&str; 17] = [
+pub const SEARCH_KEYS: [&str; 16] = [
     "name",
     "benchmark",
     "scale",
@@ -87,7 +84,6 @@ pub const SEARCH_KEYS: [&str; 17] = [
     "timeout_secs",
     "threads",
     "cache_cap",
-    "dip_batch",
 ];
 
 /// A declarative description of one profile search.
@@ -131,8 +127,6 @@ pub struct SearchSpec {
     pub threads: usize,
     /// Oracle-cache entry cap for the session (0 = unbounded).
     pub cache_cap: u64,
-    /// DIP batch width scoring runs at.
-    pub dip_batch: usize,
 }
 
 impl Default for SearchSpec {
@@ -154,7 +148,6 @@ impl Default for SearchSpec {
             timeout: Duration::from_secs(30),
             threads: 0,
             cache_cap: 1 << 16,
-            dip_batch: DEFAULT_BATCH_WIDTH,
         }
     }
 }
@@ -248,7 +241,6 @@ impl SearchSpec {
                 }
                 "threads" => spec.threads = value.parse().map_err(|_| fail("bad integer"))?,
                 "cache_cap" => spec.cache_cap = value.parse().map_err(|_| fail("bad integer"))?,
-                "dip_batch" => spec.dip_batch = value.parse().map_err(|_| fail("bad integer"))?,
                 other => {
                     return Err(fail(&format!(
                         "unknown key `{other}` (valid keys: {})",
@@ -480,9 +472,11 @@ impl<'s> ProfileSearch<'s> {
     ///
     /// # Errors
     ///
-    /// Propagates benchmark resolution and camouflage failures; rejects a
-    /// spec with no attacks (scoring would be a 0/0 success rate).
+    /// Propagates benchmark resolution and camouflage failures; rejects an
+    /// out-of-range level or scale, and a spec with no attacks (scoring
+    /// would be a 0/0 success rate).
     pub fn new(session: &'s EvalSession, spec: SearchSpec) -> Result<Self, String> {
+        check_ranges("level", &[spec.level], &[], spec.scale)?;
         if spec.attacks.is_empty() {
             return Err(format!(
                 "search spec `{}` lists no attacks — nothing to defeat (valid: {})",
@@ -611,8 +605,7 @@ impl<'s> ProfileSearch<'s> {
                     let config = AttackConfig {
                         timeout: spec.timeout,
                         ..Default::default()
-                    }
-                    .with_dip_batch(spec.dip_batch);
+                    };
                     let period = spec.rotation_period;
                     tasks.push(Box::new(move || {
                         let _span = gshe_obs::span("search.trial");
@@ -957,6 +950,30 @@ threads = 2
             Ok(_) => panic!("empty attack list accepted"),
         };
         assert!(err.contains("no attacks"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_level_and_scale_are_errors_not_panics() {
+        let session = EvalSession::new(1);
+        type Break = fn(&mut SearchSpec);
+        let cases: [(Break, &str); 5] = [
+            (|s| s.level = 0.0, "level: 0"),
+            (|s| s.level = 1.5, "level: 1.5"),
+            (|s| s.level = -0.05, "level: -0.05"),
+            (|s| s.level = f64::NAN, "level: NaN"),
+            (|s| s.scale = 0, "scale: 0"),
+        ];
+        for (break_spec, needle) in cases {
+            let mut spec = SearchSpec::default();
+            break_spec(&mut spec);
+            let err = match ProfileSearch::new(&session, spec) {
+                Err(e) => e,
+                Ok(_) => panic!("{needle}: accepted"),
+            };
+            assert!(err.contains(needle), "{needle}: {err}");
+        }
+        // Nothing was materialized for the rejected specs.
+        assert_eq!(session.cached_keyed(), 0);
     }
 
     #[test]

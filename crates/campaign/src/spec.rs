@@ -89,6 +89,33 @@ pub fn valid_profile_names() -> String {
     )
 }
 
+/// Checks the numeric grid values every spec path (TOML, flags, struct
+/// literals) must respect before any job runs: each protection level
+/// (listed under `level_key`) in (0, 1], each error rate in [0, 1] —
+/// both finite — and a scale of at least 1. The error names the key and
+/// the offending value.
+pub(crate) fn check_ranges(
+    level_key: &str,
+    levels: &[f64],
+    error_rates: &[f64],
+    scale: usize,
+) -> Result<(), String> {
+    if let Some(bad) = levels.iter().find(|&&l| !(l > 0.0 && l <= 1.0)) {
+        return Err(format!(
+            "{level_key}: {bad} is out of range (a level is a fraction in (0, 1])"
+        ));
+    }
+    if let Some(bad) = error_rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
+        return Err(format!(
+            "error_rates: {bad} is out of range (an error rate is in [0, 1])"
+        ));
+    }
+    if scale == 0 {
+        return Err("scale: 0 is out of range (scale must be at least 1)".to_string());
+    }
+    Ok(())
+}
+
 /// Comma-separated spec-file keys ([`SPEC_KEYS`]) for error messages.
 pub fn valid_key_names() -> String {
     join_names(SPEC_KEYS)
@@ -119,9 +146,9 @@ pub struct CampaignSpec {
     /// Attack algorithms to launch.
     pub attacks: Vec<AttackKind>,
     /// Cone-of-influence policy for every attack job (and the campaign
-    /// cache's cone-keyed entries): `auto` (engage at the historical
-    /// 100k-node threshold), `auto:<nodes>` (custom threshold), `on`,
-    /// or `off`.
+    /// cache's cone-keyed entries): `on` (the default: attack the cloaked
+    /// cells' cone whenever it leaves some outputs out) or `off` (always
+    /// the full miter).
     pub coi_mode: CoiMode,
     /// SAT simplification policy for every attack job's incremental
     /// solver: `auto` (preprocess instances with at least the historical
@@ -174,7 +201,7 @@ impl Default for CampaignSpec {
             levels: vec![0.2],
             schemes: vec![CamoScheme::GsheAll16],
             attacks: vec![AttackKind::Sat],
-            coi_mode: CoiMode::Auto,
+            coi_mode: CoiMode::On,
             sat_simplify: SimplifyMode::Auto,
             error_rates: vec![0.0],
             clock_periods_ns: Vec::new(),
@@ -247,8 +274,10 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Propagates benchmark-resolution failures.
+    /// Rejects a level outside (0, 1], an error rate outside [0, 1] and a
+    /// scale of 0, and propagates benchmark-resolution failures.
     pub fn expand(&self) -> Result<Vec<JobSpec>, String> {
+        check_ranges("levels", &self.levels, &self.error_rates, self.scale)?;
         let benchmarks = self.resolve_benchmarks()?;
         let profiles = if self.profiles.is_empty() {
             vec![NoiseShape::Uniform]
@@ -379,9 +408,7 @@ impl CampaignSpec {
                 "coi_mode" => {
                     let name = parse_string(value).ok_or_else(|| fail("bad string"))?;
                     spec.coi_mode = CoiMode::parse(&name).ok_or_else(|| {
-                        fail(&format!(
-                            "unknown coi_mode `{name}` (valid: auto, auto:<nodes>, on, off)"
-                        ))
+                        fail(&format!("unknown coi_mode `{name}` (valid: on, off)"))
                     })?;
                 }
                 "sat_simplify" => {
@@ -836,17 +863,16 @@ mod tests {
     #[test]
     fn topology_coi_and_memo_budget_parse_from_toml() {
         let spec = CampaignSpec::parse_toml(
-            "topology = \"local\"\ncoi_mode = \"auto:20000\"\nsat_simplify = \"auto:50000\"\nmemo_budget_mb = 1.5",
+            "topology = \"local\"\ncoi_mode = \"off\"\nsat_simplify = \"auto:50000\"\nmemo_budget_mb = 1.5",
         )
         .unwrap();
         assert_eq!(spec.topology, Topology::Local);
-        assert_eq!(spec.coi_mode, CoiMode::AutoAt(20_000));
+        assert_eq!(spec.coi_mode, CoiMode::Off);
         assert_eq!(spec.sat_simplify, SimplifyMode::AutoAt(50_000));
         assert_eq!(spec.memo_budget_mb, 1.5);
-        // Defaults are the historical behavior.
         let default = CampaignSpec::default();
         assert_eq!(default.topology, Topology::Uniform);
-        assert_eq!(default.coi_mode, CoiMode::Auto);
+        assert_eq!(default.coi_mode, CoiMode::On);
         assert_eq!(default.sat_simplify, SimplifyMode::Auto);
         assert_eq!(default.memo_budget_mb, 0.0);
 
@@ -856,11 +882,49 @@ mod tests {
         let err = CampaignSpec::parse_toml("topology = \"spiral\"").unwrap_err();
         assert!(err.contains("uniform, local"), "{err}");
         let err = CampaignSpec::parse_toml("coi_mode = \"maybe\"").unwrap_err();
-        assert!(err.contains("auto:<nodes>"), "{err}");
+        assert!(err.contains("on, off"), "{err}");
+        assert!(CampaignSpec::parse_toml("coi_mode = \"auto\"").is_err());
         let err = CampaignSpec::parse_toml("sat_simplify = \"maybe\"").unwrap_err();
         assert!(err.contains("auto:<clauses>"), "{err}");
         assert!(CampaignSpec::parse_toml("memo_budget_mb = -1").is_err());
         assert!(CampaignSpec::parse_toml("memo_budget_mb = nan").is_err());
+    }
+
+    #[test]
+    fn out_of_range_values_are_errors_not_panics() {
+        let base = CampaignSpec {
+            benchmarks: vec!["ex1010".into()],
+            scale: 400,
+            ..Default::default()
+        };
+        type Break = fn(&mut CampaignSpec);
+        let cases: [(Break, &str); 8] = [
+            (|s| s.levels = vec![0.0], "levels: 0"),
+            (|s| s.levels = vec![1.5], "levels: 1.5"),
+            (|s| s.levels = vec![-0.05], "levels: -0.05"),
+            (|s| s.levels = vec![f64::NAN], "levels: NaN"),
+            (|s| s.error_rates = vec![1.5], "error_rates: 1.5"),
+            (|s| s.error_rates = vec![-0.2], "error_rates: -0.2"),
+            (|s| s.error_rates = vec![f64::NAN], "error_rates: NaN"),
+            (|s| s.scale = 0, "scale: 0"),
+        ];
+        for (break_spec, needle) in cases {
+            let mut spec = base.clone();
+            break_spec(&mut spec);
+            let err = spec.expand().unwrap_err();
+            assert!(err.contains(needle), "{needle}: {err}");
+        }
+        // The TOML path lands in the same check.
+        let spec = CampaignSpec::parse_toml("levels = [1.5]").unwrap();
+        assert!(spec.expand().unwrap_err().contains("levels: 1.5"));
+        // The closed ends of both ranges are valid.
+        let edges = CampaignSpec {
+            levels: vec![1.0],
+            error_rates: vec![0.0, 1.0],
+            scale: 1,
+            ..base
+        };
+        assert!(edges.expand().is_ok());
     }
 
     #[test]

@@ -62,7 +62,6 @@ pub mod prelude {
     };
     pub use gshe_attacks::{
         verify_key, AttackConfig, AttackKind, AttackRunner, AttackStatus, Oracle, OracleStack,
-        RestartMode,
     };
     pub use gshe_camo::{camouflage, select_gates, CamoScheme, KeyedNetlist};
     pub use gshe_campaign::{

@@ -54,7 +54,7 @@
 //!
 //! ```json
 //! {"counters":{"cache.hits":42},
-//!  "histograms":{"attack.dip_batch_fill":
+//!  "histograms":{"sat.solve.conflicts":
 //!    {"count":7,"sum":98,"buckets":[[1,1],[8,3],[16,3]]}}}
 //! ```
 //!

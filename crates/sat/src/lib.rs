@@ -14,9 +14,9 @@
 //!   literal inline so binary propagation never touches the arena.
 //! - **Search**: 1UIP learning with clause minimization, EVSIDS
 //!   branching, phase saving, Glucose-style adaptive restarts (fast/slow
-//!   LBD averages with trail-depth restart blocking; Luby as a fallback
-//!   mode), on-the-fly LBD updates, and LBD-tiered learnt-DB reduction on
-//!   a geometric schedule — see [`solver::SearchConfig`].
+//!   LBD averages with trail-depth restart blocking), on-the-fly LBD
+//!   updates, and LBD-tiered learnt-DB reduction on a geometric schedule
+//!   — see [`solver::SearchConfig`].
 //! - **Incrementality**: clause addition between solves, solving under
 //!   assumptions, and model-blocking enumeration primitives.
 //! - **Simplification** ([`simplify`]): SatELite-style preprocessing
@@ -58,5 +58,5 @@ pub mod tseitin;
 pub use cnf::{ClauseSink, CnfFormula};
 pub use lit::{Lit, Var};
 pub use simplify::{SimplifyMode, SIMPLIFY_AUTO_THRESHOLD};
-pub use solver::{RestartMode, SearchConfig, SolveResult, Solver, SolverStats};
+pub use solver::{SearchConfig, SolveResult, Solver, SolverStats};
 pub use tseitin::{CircuitEncoder, Polarity};

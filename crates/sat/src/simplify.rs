@@ -81,7 +81,7 @@ const ELIM_MAX_ROUNDS: usize = 10;
 
 /// When the solver runs the preprocessing pass (set via
 /// [`Solver::set_simplify`]; threaded from the campaign `sat_simplify`
-/// knob). Mirrors the attack layer's `CoiMode`.
+/// knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimplifyMode {
     /// Engage when the problem has at least [`SIMPLIFY_AUTO_THRESHOLD`]

@@ -11,11 +11,10 @@
 //!   implied literal inline, so binary propagation never touches the
 //!   arena; longer clauses use two watched literals with a blocker-literal
 //!   fast path.
-//! - **Restarts** default to Glucose-style adaptive pacing
-//!   ([`RestartMode::LbdEma`]): restart when the recent-LBD average runs
-//!   hot against the lifetime average, blocked while the trail is much
-//!   deeper than usual (the solver is probably closing in on a model).
-//!   [`RestartMode::Luby`] keeps the classic Luby schedule as a fallback.
+//! - **Restarts** use Glucose-style adaptive pacing: restart when the
+//!   recent-LBD average runs hot against the lifetime average, blocked
+//!   while the trail is much deeper than usual (the solver is probably
+//!   closing in on a model).
 //! - **Learnt-DB reduction** follows a geometric schedule with LBD-tiered
 //!   retention: core clauses (LBD ≤ 2) and binaries are permanent, mid
 //!   clauses recently improved during conflict analysis get a one-round
@@ -102,24 +101,10 @@ pub struct Budget {
     pub max_vars: Option<usize>,
 }
 
-/// Restart pacing strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RestartMode {
-    /// Glucose-style adaptive restarts: fire when the windowed average of
-    /// recent learnt-clause LBDs runs hot against the lifetime average,
-    /// blocked while the trail is unusually deep. The default.
-    #[default]
-    LbdEma,
-    /// The classic Luby schedule (unit 100 conflicts).
-    Luby,
-}
-
 /// Search-heuristic knobs; [`SearchConfig::default`] is the tuned setting
 /// every attack runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchConfig {
-    /// Restart pacing.
-    pub restart: RestartMode,
     /// Learnt clauses triggering the first DB reduction.
     pub reduce_base: usize,
     /// Percent growth of the reduction trigger after each reduction
@@ -133,7 +118,6 @@ pub struct SearchConfig {
 impl Default for SearchConfig {
     fn default() -> Self {
         SearchConfig {
-            restart: RestartMode::LbdEma,
             reduce_base: 8192,
             reduce_growth_pct: 10,
             gc_wasted_pct: 25,
@@ -252,9 +236,6 @@ pub struct Solver {
     trail_queue: BoundedQueue,
     /// Lifetime sum of learnt-clause LBDs (the "slow" average numerator).
     global_lbd_sum: u64,
-    /// Conflict counter since last restart.
-    conflicts_since_restart: u64,
-    luby_index: u64,
 }
 
 impl Default for Solver {
@@ -265,7 +246,6 @@ impl Default for Solver {
 
 const VAR_DECAY: f64 = 1.0 / 0.95;
 const RESCALE_LIMIT: f64 = 1e100;
-const RESTART_UNIT: u64 = 100;
 /// Window of recent LBDs for the "fast" restart average.
 const LBD_QUEUE_LEN: usize = 50;
 /// Window of recent trail depths for restart blocking.
@@ -311,8 +291,6 @@ impl Solver {
             lbd_queue: BoundedQueue::new(LBD_QUEUE_LEN),
             trail_queue: BoundedQueue::new(TRAIL_QUEUE_LEN),
             global_lbd_sum: 0,
-            conflicts_since_restart: 0,
-            luby_index: 0,
         }
     }
 
@@ -524,9 +502,8 @@ impl Solver {
 
     /// Adds a **blocking clause** forbidding the most recent model's
     /// assignment to `lits`: at least one of them must flip in any future
-    /// model. This is the enumeration primitive batched DIP discovery is
-    /// built on — solve, read the model, block it, re-solve for the next
-    /// distinct one. Returns `false` if the solver became trivially
+    /// model: the model-enumeration primitive — solve, read the model,
+    /// block it, re-solve for the next distinct one. Returns `false` if the solver became trivially
     /// unsatisfiable (e.g. `lits` is empty: a model over zero literals can
     /// only be blocked by the empty clause).
     ///
@@ -1049,22 +1026,6 @@ impl Solver {
         expected == actual
     }
 
-    /// The Luby restart sequence 1,1,2,1,1,2,4,… (0-indexed).
-    fn luby(mut x: u64) -> u64 {
-        let mut size: u64 = 1;
-        let mut seq: u32 = 0;
-        while size < x + 1 {
-            seq += 1;
-            size = 2 * size + 1;
-        }
-        while size - 1 != x {
-            size = (size - 1) >> 1;
-            seq -= 1;
-            x %= size;
-        }
-        1u64 << seq
-    }
-
     /// Solves the formula with no assumptions.
     pub fn solve(&mut self) -> SolveResult {
         self.solve_with(&[])
@@ -1111,14 +1072,11 @@ impl Solver {
             return SolveResult::Unsat;
         }
         let start_conflicts = self.stats.conflicts;
-        self.conflicts_since_restart = 0;
-        let mut restart_budget = RESTART_UNIT * Self::luby(self.luby_index);
 
         loop {
             let conflict = self.propagate();
             if !conflict.is_none() {
                 self.stats.conflicts += 1;
-                self.conflicts_since_restart += 1;
                 if self.decision_level() == 0 {
                     self.ok = false;
                     return SolveResult::Unsat;
@@ -1168,28 +1126,16 @@ impl Solver {
                 if self.learnts.len() >= self.reduce_limit {
                     self.reduce_db();
                 }
-                let restart = match self.config.restart {
-                    RestartMode::Luby => self.conflicts_since_restart >= restart_budget,
-                    // Fast (windowed) LBD average running 25% hot against
-                    // the lifetime average: the search degraded, restart.
-                    RestartMode::LbdEma => {
-                        self.lbd_queue.full()
-                            && self.lbd_queue.sum() * 4 * self.stats.conflicts
-                                > self.global_lbd_sum * 5 * self.lbd_queue.len() as u64
-                    }
-                };
-                if restart {
+                // Fast (windowed) LBD average running 25% hot against the
+                // lifetime average: the search degraded, restart.
+                if self.lbd_queue.full()
+                    && self.lbd_queue.sum() * 4 * self.stats.conflicts
+                        > self.global_lbd_sum * 5 * self.lbd_queue.len() as u64
+                {
                     // Restart: keep assumptions by only backtracking to the
                     // assumption boundary.
                     self.stats.restarts += 1;
-                    self.conflicts_since_restart = 0;
-                    match self.config.restart {
-                        RestartMode::Luby => {
-                            self.luby_index += 1;
-                            restart_budget = RESTART_UNIT * Self::luby(self.luby_index);
-                        }
-                        RestartMode::LbdEma => self.lbd_queue.clear(),
-                    }
+                    self.lbd_queue.clear();
                     let keep = (assumptions.len() as u32).min(self.decision_level());
                     self.cancel_until(keep);
                     // Inprocessing rides the restart boundary: every Nth
@@ -1262,9 +1208,8 @@ mod tests {
     }
 
     /// A tiny schedule that forces reduction and GC on small instances.
-    fn tight_config(restart: RestartMode) -> SearchConfig {
+    fn tight_config() -> SearchConfig {
         SearchConfig {
-            restart,
             reduce_base: 8,
             reduce_growth_pct: 10,
             gc_wasted_pct: 10,
@@ -1501,14 +1446,6 @@ mod tests {
     }
 
     #[test]
-    fn luby_prefix_is_correct() {
-        let expect = [1u64, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8];
-        for (i, &e) in expect.iter().enumerate() {
-            assert_eq!(Solver::luby(i as u64), e, "luby({i})");
-        }
-    }
-
-    #[test]
     fn xor_chain_forces_unique_model() {
         // x0 ⊕ x1 = 1, x1 ⊕ x2 = 1, x0 = 0 → x1 = 1, x2 = 0.
         let mut s = Solver::new();
@@ -1544,42 +1481,25 @@ mod tests {
         // is live in the arena, and `deleted` matches the GC-visible
         // history (each deletion counted exactly once even when locked
         // clauses were skipped on earlier passes).
-        for restart in [RestartMode::LbdEma, RestartMode::Luby] {
-            let mut s = Solver::new();
-            s.set_search_config(tight_config(restart));
-            pigeonhole(&mut s, 8, 7);
-            assert_eq!(s.solve(), SolveResult::Unsat, "{restart:?}");
-            let st = s.stats();
-            assert_eq!(st.learnts, s.learnts.len() as u64, "{restart:?}");
-            assert!(
-                s.learnts.iter().all(|&c| !s.arena.is_deleted(c)),
-                "{restart:?}: live list holds a deleted clause"
-            );
-            assert!(st.deleted > 0, "{restart:?}: reduction never fired");
-            assert!(st.restarts > 0, "{restart:?}: restarts never fired");
-            assert!(st.db_gcs > 0, "{restart:?}: GC never fired");
-            assert!(
-                s.db_wasted_bytes() * 100
-                    < s.db_bytes().max(1) * (s.config.gc_wasted_pct as usize + 100),
-                "{restart:?}: wasted space runs past the GC trigger"
-            );
-            assert!(s.watches_are_consistent(), "{restart:?}");
-        }
-    }
-
-    #[test]
-    fn restart_modes_agree_on_satisfiability() {
-        for (pigeons, holes, expect) in [(3, 2, SolveResult::Unsat), (6, 6, SolveResult::Sat)] {
-            for restart in [RestartMode::LbdEma, RestartMode::Luby] {
-                let mut s = Solver::new();
-                s.set_search_config(SearchConfig {
-                    restart,
-                    ..SearchConfig::default()
-                });
-                pigeonhole(&mut s, pigeons, holes);
-                assert_eq!(s.solve(), expect, "{restart:?} PHP({pigeons},{holes})");
-            }
-        }
+        let mut s = Solver::new();
+        s.set_search_config(tight_config());
+        pigeonhole(&mut s, 8, 7);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        let st = s.stats();
+        assert_eq!(st.learnts, s.learnts.len() as u64);
+        assert!(
+            s.learnts.iter().all(|&c| !s.arena.is_deleted(c)),
+            "live list holds a deleted clause"
+        );
+        assert!(st.deleted > 0, "reduction never fired");
+        assert!(st.restarts > 0, "restarts never fired");
+        assert!(st.db_gcs > 0, "GC never fired");
+        assert!(
+            s.db_wasted_bytes() * 100
+                < s.db_bytes().max(1) * (s.config.gc_wasted_pct as usize + 100),
+            "wasted space runs past the GC trigger"
+        );
+        assert!(s.watches_are_consistent());
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Property tests for the CDCL core: random small CNFs checked against a
-//! brute-force truth-table reference, under both restart modes and a
-//! deliberately tiny reduce/GC schedule so clause deletion, arena
+//! brute-force truth-table reference, under a deliberately tiny reduce/GC schedule so clause deletion, arena
 //! compaction, and watch-list rebuilding all run on ordinary inputs — not
 //! just the pigeonhole fixtures in the unit tests.
 //!
@@ -9,16 +8,15 @@
 //! database monotonically, because garbage collection compacts away the
 //! learnt clauses each reduction deletes.
 
-use gshe_sat::{Lit, RestartMode, SearchConfig, SolveResult, Solver, Var};
+use gshe_sat::{Lit, SearchConfig, SolveResult, Solver, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A reduce/GC schedule small enough that 12-variable formulas exercise
 /// DB reduction and arena compaction.
-fn tiny_schedule(restart: RestartMode) -> SearchConfig {
+fn tiny_schedule() -> SearchConfig {
     SearchConfig {
-        restart,
         reduce_base: 4,
         reduce_growth_pct: 0,
         gc_wasted_pct: 1,
@@ -60,9 +58,9 @@ fn satisfies(cnf: &[Vec<Lit>], bits: u32) -> bool {
     })
 }
 
-fn solve_under(cnf: &[Vec<Lit>], vars: u32, restart: RestartMode) -> (SolveResult, Option<u32>) {
+fn solve_under(cnf: &[Vec<Lit>], vars: u32) -> (SolveResult, Option<u32>) {
     let mut s = Solver::new();
-    s.set_search_config(tiny_schedule(restart));
+    s.set_search_config(tiny_schedule());
     for _ in 0..vars {
         s.new_var();
     }
@@ -88,9 +86,8 @@ fn solve_under(cnf: &[Vec<Lit>], vars: u32, restart: RestartMode) -> (SolveResul
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The solver agrees with the truth table on satisfiability under
-    /// both restart modes, and any model it returns actually satisfies
-    /// the formula.
+    /// The solver agrees with the truth table on satisfiability, and any
+    /// model it returns actually satisfies the formula.
     #[test]
     fn agrees_with_truth_table(
         vars in 2u32..=12,
@@ -100,19 +97,12 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let cnf = random_cnf(&mut rng, vars, clauses);
         let expected = truth_table_sat(&cnf, vars);
-        for restart in [RestartMode::LbdEma, RestartMode::Luby] {
-            let (result, model) = solve_under(&cnf, vars, restart);
-            prop_assert!(result != SolveResult::Unknown, "budget exhausted on a tiny CNF");
-            let got = result == SolveResult::Sat;
-            prop_assert_eq!(got, expected, "mode {:?} disagrees with brute force", restart);
-            if let Some(bits) = model {
-                prop_assert!(
-                    satisfies(&cnf, bits),
-                    "mode {:?} returned a non-model: {:#b}",
-                    restart,
-                    bits
-                );
-            }
+        let (result, model) = solve_under(&cnf, vars);
+        prop_assert!(result != SolveResult::Unknown, "budget exhausted on a tiny CNF");
+        let got = result == SolveResult::Sat;
+        prop_assert_eq!(got, expected, "solver disagrees with brute force");
+        if let Some(bits) = model {
+            prop_assert!(satisfies(&cnf, bits), "returned a non-model: {:#b}", bits);
         }
     }
 
@@ -131,7 +121,7 @@ proptest! {
             (0u32..1 << vars).filter(|&bits| satisfies(&cnf, bits)).collect();
 
         let mut s = Solver::new();
-        s.set_search_config(tiny_schedule(RestartMode::LbdEma));
+        s.set_search_config(tiny_schedule());
         for _ in 0..vars {
             s.new_var();
         }
@@ -171,7 +161,7 @@ fn incremental_enumeration_keeps_arena_bounded() {
     const ROUNDS: usize = 1000;
     let mut rng = StdRng::seed_from_u64(0xA11A);
     let mut s = Solver::new();
-    s.set_search_config(tiny_schedule(RestartMode::LbdEma));
+    s.set_search_config(tiny_schedule());
     let vars: Vec<Var> = (0..VARS).map(|_| s.new_var()).collect();
     // A lightly constrained base formula: length-3/4 clauses leave a
     // model space far larger than the rounds we enumerate, so the loop

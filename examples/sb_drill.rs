@@ -16,7 +16,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spin_hall_security::attacks::{CoiMode, SimplifyMode};
+use spin_hall_security::attacks::SimplifyMode;
 use spin_hall_security::logic::{suites, Topology};
 use spin_hall_security::prelude::*;
 use std::time::Instant;
@@ -57,9 +57,7 @@ fn main() {
     );
 
     spin_hall_security::obs::enable();
-    let config = AttackConfig::with_timeout_secs(300)
-        .with_coi(CoiMode::AutoAt(3_000))
-        .with_simplify(simplify);
+    let config = AttackConfig::with_timeout_secs(300).with_simplify(simplify);
     let runner = AttackRunner::with_config(AttackKind::Sat, config, 0);
     let t = Instant::now();
     let out = runner.run(&keyed, &mut OracleStack::exact(&nl));

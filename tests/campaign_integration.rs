@@ -27,7 +27,7 @@ fn two_by_two_spec(threads: usize) -> CampaignSpec {
         timeout: Duration::from_secs(60),
         threads,
         topology: Topology::Uniform,
-        coi_mode: CoiMode::Auto,
+        coi_mode: CoiMode::On,
         sat_simplify: SimplifyMode::Auto,
         memo_budget_mb: 0.0,
     }
@@ -95,7 +95,7 @@ fn exhausted_budgets_mark_jobs_timed_out_without_hanging_the_pool() {
         timeout: Duration::from_millis(0),
         threads: 4,
         topology: Topology::Uniform,
-        coi_mode: CoiMode::Auto,
+        coi_mode: CoiMode::On,
         sat_simplify: SimplifyMode::Auto,
         memo_budget_mb: 0.0,
     };
@@ -146,7 +146,7 @@ fn rotation_period_sweep_shows_attack_collapse_end_to_end() {
         timeout: Duration::from_secs(30),
         threads: 2,
         topology: Topology::Uniform,
-        coi_mode: CoiMode::Auto,
+        coi_mode: CoiMode::On,
         sat_simplify: SimplifyMode::Auto,
         memo_budget_mb: 0.0,
     };
@@ -196,7 +196,7 @@ fn combined_defense_grid_is_no_easier_than_either_defense_alone() {
         timeout: Duration::from_secs(30),
         threads: 2,
         topology: Topology::Uniform,
-        coi_mode: CoiMode::Auto,
+        coi_mode: CoiMode::On,
         sat_simplify: SimplifyMode::Auto,
         memo_budget_mb: 0.0,
     };
@@ -267,7 +267,7 @@ fn clock_period_sweep_derives_physical_rates_end_to_end() {
         timeout: Duration::from_secs(30),
         threads: 2,
         topology: Topology::Uniform,
-        coi_mode: CoiMode::Auto,
+        coi_mode: CoiMode::On,
         sat_simplify: SimplifyMode::Auto,
         memo_budget_mb: 0.0,
     };
@@ -330,7 +330,7 @@ fn aag_suite_runs_through_the_campaign_engine() {
         timeout: Duration::from_secs(30),
         threads,
         topology: Topology::Uniform,
-        coi_mode: CoiMode::Auto,
+        coi_mode: CoiMode::On,
         sat_simplify: SimplifyMode::Auto,
         memo_budget_mb: 0.0,
     };
@@ -379,7 +379,7 @@ fn stochastic_cells_defeat_the_attack_in_campaign_form() {
         timeout: Duration::from_secs(30),
         threads: 2,
         topology: Topology::Uniform,
-        coi_mode: CoiMode::Auto,
+        coi_mode: CoiMode::On,
         sat_simplify: SimplifyMode::Auto,
         memo_budget_mb: 0.0,
     };

@@ -70,7 +70,7 @@ fn golden_spec() -> CampaignSpec {
         timeout: Duration::from_secs(60),
         threads: 2,
         topology: spin_hall_security::logic::Topology::Uniform,
-        coi_mode: spin_hall_security::attacks::CoiMode::Auto,
+        coi_mode: spin_hall_security::attacks::CoiMode::On,
         sat_simplify: spin_hall_security::attacks::SimplifyMode::Auto,
         memo_budget_mb: 0.0,
     }

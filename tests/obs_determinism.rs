@@ -29,7 +29,7 @@ fn small_spec() -> CampaignSpec {
         timeout: Duration::from_secs(60),
         threads: 2,
         topology: spin_hall_security::logic::Topology::Uniform,
-        coi_mode: spin_hall_security::attacks::CoiMode::Auto,
+        coi_mode: spin_hall_security::attacks::CoiMode::On,
         sat_simplify: spin_hall_security::attacks::SimplifyMode::Auto,
         memo_budget_mb: 0.0,
     }
@@ -75,11 +75,7 @@ fn deterministic_json_is_byte_identical_with_obs_enabled_and_disabled() {
     }
     // (`cache.hits` registers only on a hit; a single-trial SAT attack
     // never re-queries a block, so the guaranteed cache signal is misses.)
-    for metric in [
-        "\"cache.misses\"",
-        "\"sat.decisions\"",
-        "\"attack.dip_batch_fill\"",
-    ] {
+    for metric in ["\"cache.misses\"", "\"sat.decisions\"", "\"attack.rounds\""] {
         assert!(metrics.contains(metric), "metrics missing {metric}");
     }
 }

@@ -29,7 +29,6 @@ fn smoke_search_spec(threads: usize) -> SearchSpec {
         timeout: Duration::from_secs(20),
         threads,
         cache_cap: 1 << 16,
-        dip_batch: 16,
     }
 }
 
@@ -155,7 +154,7 @@ fn warm_session_campaign_output_stays_byte_identical() {
         timeout: Duration::from_secs(30),
         threads: 2,
         topology: spin_hall_security::logic::Topology::Uniform,
-        coi_mode: spin_hall_security::attacks::CoiMode::Auto,
+        coi_mode: spin_hall_security::attacks::CoiMode::On,
         sat_simplify: spin_hall_security::attacks::SimplifyMode::Auto,
         memo_budget_mb: 0.0,
     };

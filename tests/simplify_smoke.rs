@@ -60,8 +60,8 @@ fn smoke_verdicts_match_with_and_without_simplification() {
 }
 
 /// The preprocessing payoff on the attack's real workload, pinned: on
-/// the s38584 two-copy key-search miter (the instance the width-16
-/// batched attack iterates on), subsumption + bounded variable
+/// the s38584 two-copy key-search miter (the instance the SAT attack
+/// iterates on), subsumption + bounded variable
 /// elimination must shave at least 30% of the problem clauses or 30% of
 /// the variables. The construction mirrors `dip_engine::refine` exactly —
 /// key codes, two circuit copies over shared inputs, output miter — with

@@ -33,12 +33,12 @@ fn superblue_spec(memo_budget_mb: f64) -> CampaignSpec {
         scale: SCALE,
         topology: Topology::Local,
         // A handful of cloaked gates per instance: with tile-local
-        // wiring their affected-output cones stay a thin slice, so the
-        // forced COI threshold below engages cone-keyed caching.
+        // wiring their affected-output cones stay a thin slice, so COI
+        // engages cone-keyed caching.
         levels: vec![0.0005],
         schemes: vec![CamoScheme::GsheAll16],
         attacks: vec![AttackKind::Sat],
-        coi_mode: CoiMode::AutoAt(3_000),
+        coi_mode: CoiMode::On,
         sat_simplify: SimplifyMode::Auto,
         error_rates: vec![0.0],
         clock_periods_ns: Vec::new(),
