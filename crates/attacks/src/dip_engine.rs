@@ -434,10 +434,12 @@ fn appsat_round(
     let resolved = keyed
         .resolve(&cand)
         .expect("candidate key has correct width");
-    // Block-query reinforcement: the sample patterns are drawn exactly as
-    // the scalar loop drew them (sample-major, bit-minor), then answered 64
-    // at a time — the chip through `query_block` (still one query per
-    // pattern), the candidate through the bit-parallel simulator.
+    // Block-query reinforcement: the sample patterns are drawn
+    // sample-major, bit-minor, then answered 64 at a time — the chip
+    // through `query_block`, which answers exactly as the scalar loop over
+    // the same patterns would (one query and, on a noisy chip, one
+    // noise-stream draw per pattern), the candidate through the
+    // bit-parallel simulator.
     let n_inputs = input_lits.len();
     let mut cand_sim = Simulator::new(&resolved);
     let mut mismatches = 0usize;

@@ -46,4 +46,4 @@ pub use gshe_sat::SimplifyMode;
 pub use metrics::{verify_key, verify_key_scoped, verify_key_until, KeyVerification};
 pub use oracle::Oracle;
 pub use runner::{AttackConfig, AttackKind, AttackOutcome, AttackRunner, AttackStatus};
-pub use stack::{EvalLayer, OracleStack};
+pub use stack::OracleStack;

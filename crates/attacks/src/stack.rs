@@ -9,8 +9,8 @@
 //! deterministic-to-probabilistic continuum of arXiv:1904.00421). This
 //! module models that composability directly:
 //!
-//! * [`EvalLayer`] — the base: a bit-parallel pass over a netlist, either
-//!   exact ([`gshe_logic::Simulator`] semantics) or fault-injecting
+//! * the **base layer** — a bit-parallel pass over a netlist, either exact
+//!   ([`gshe_logic::Simulator`] semantics) or fault-injecting
 //!   ([`FaultSimulator`] with an [`ErrorProfile`]);
 //! * an optional **rotation layer** — epoch-segmented key resolution: the
 //!   chip answers `period` queries per key, then draws a fresh random key
@@ -19,9 +19,9 @@
 //!   is campaign-wide infrastructure) and composes over the bare exact
 //!   stack only, the one configuration whose answers are memoizable.
 //!
-//! Every layer is `query_block`-first, so any composition answers 64
-//! patterns per pass end to end. The constructors name the paper's chips:
-//! [`OracleStack::exact`] (the perfect working chip),
+//! Every composition answers through one segment loop, so any stack
+//! answers 64 patterns per pass end to end. The constructors name the
+//! paper's chips: [`OracleStack::exact`] (the perfect working chip),
 //! [`OracleStack::noisy`] (Sec. V-B), [`OracleStack::rotating`]
 //! (Sec. V-C) and [`OracleStack::rotating_noisy`] (both defenses at once).
 //!
@@ -38,18 +38,16 @@
 //! in every run, and the combined stack draws both streams from one seed
 //! without perturbing either.
 //!
-//! ## Noise-stream discipline under rotation
+//! ## One evaluation path
 //!
-//! The chip's reference semantics are *per query*: rotation counts
-//! queries, and the scalar noise stream draws one `gen_bool` per noisy
-//! node per query. A noise-only stack keeps the fast block path (one
-//! [`gshe_logic::bernoulli_mask`] per noisy node per pass — a different,
-//! equally valid sample stream, which seeded campaign results pin). Once rotation is stacked on top, the block path switches
-//! to the engine's **scalar-stream** segments
-//! ([`FaultSimulator::run_scalar_stream`]): gate evaluation stays
-//! 64-wide, but noise is drawn pattern-major, so `query_block` is
-//! bit-for-bit the scalar loop — epochs, key draws, flips, and post-call
-//! RNG state all included.
+//! The chip's semantics are *per query*: rotation counts queries, and the
+//! noise stream draws one `gen_bool` per noisy node per query
+//! ([`FaultSimulator`]'s pattern-major stream). `query_block` splits the
+//! block at epoch boundaries — without rotation the whole block is one
+//! segment — and answers each segment with one 64-wide pass over the
+//! epoch's netlist. `query` is the same loop over a one-pattern block. A
+//! block is therefore answered exactly as the same patterns queried one
+//! at a time: epochs, key draws, flips, and post-call RNG state included.
 
 use crate::oracle::Oracle;
 use gshe_camo::KeyedNetlist;
@@ -66,10 +64,10 @@ pub const ROTATION_SEED_SALT: u64 = 0xD0_7A7E;
 
 /// The stack's base layer: one bit-parallel evaluation pass over a
 /// netlist, exact or fault-injecting. The netlist is swappable in place,
-/// so a rotation layer can re-resolve per epoch while scratch buffers — and, for the noisy base, the noise RNG stream —
-/// survive.
+/// so a rotation layer can re-resolve per epoch while the scratch buffers
+/// and, for the noisy base, the noise RNG stream survive.
 #[derive(Debug, Clone)]
-pub enum EvalLayer<'a> {
+enum EvalLayer<'a> {
     /// Deterministic evaluation ([`gshe_logic::Simulator`] semantics).
     Exact {
         /// The evaluated netlist (borrowed for static chips, owned once a
@@ -84,31 +82,11 @@ pub enum EvalLayer<'a> {
 }
 
 impl<'a> EvalLayer<'a> {
-    /// An exact base over a borrowed netlist.
-    pub fn exact(netlist: &'a Netlist) -> Self {
+    fn exact(netlist: Cow<'a, Netlist>) -> Self {
         EvalLayer::Exact {
-            netlist: Cow::Borrowed(netlist),
+            netlist,
             scratch: Vec::new(),
         }
-    }
-
-    /// An exact base over an owned netlist (the rotating case).
-    pub fn exact_owned(netlist: Netlist) -> Self {
-        EvalLayer::Exact {
-            netlist: Cow::Owned(netlist),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// A noisy base over a borrowed netlist. `seed` is consumed verbatim —
-    /// stack constructors apply [`NOISE_SEED_SALT`].
-    pub fn noisy(netlist: &'a Netlist, profile: ErrorProfile, seed: u64) -> Self {
-        EvalLayer::Noisy(FaultSimulator::new(netlist, profile, seed))
-    }
-
-    /// A noisy base over an owned netlist (the rotating case).
-    pub fn noisy_owned(netlist: Netlist, profile: ErrorProfile, seed: u64) -> Self {
-        EvalLayer::Noisy(FaultSimulator::owned(netlist, profile, seed))
     }
 
     /// Swaps the evaluated netlist (same node count), keeping scratch and
@@ -127,58 +105,22 @@ impl<'a> EvalLayer<'a> {
         }
     }
 
-    /// The installed error profile (`None` for the exact base).
-    pub fn profile(&self) -> Option<&ErrorProfile> {
+    fn profile(&self) -> Option<&ErrorProfile> {
         match self {
             EvalLayer::Exact { .. } => None,
             EvalLayer::Noisy(engine) => Some(engine.profile()),
         }
     }
 
-    /// One pattern through lane 0 — the scalar noise stream for the noisy
-    /// base (one `gen_bool` per noisy node).
-    fn scalar(&mut self, inputs: &[bool]) -> Vec<bool> {
-        match self {
-            EvalLayer::Exact { netlist, scratch } => {
-                sim::run_scalar_with_scratch(netlist, scratch, inputs)
-            }
-            EvalLayer::Noisy(engine) => engine.run_scalar(inputs),
-        }
-        .expect("oracle input arity mismatch")
-    }
-
-    /// A full block, invalid lanes cleared — the fast path for stacks
-    /// without a rotation layer (mask-stream noise for the noisy base).
-    fn block_masked(&mut self, block: &PatternBlock) -> Vec<u64> {
-        match self {
-            EvalLayer::Exact { netlist, scratch } => {
-                let mut lanes = sim::run_with_scratch(netlist, scratch, block)
-                    .expect("oracle input arity mismatch");
-                let mask = block.valid_mask();
-                for lane in &mut lanes {
-                    *lane &= mask;
-                }
-                lanes
-            }
-            EvalLayer::Noisy(engine) => engine
-                .run_masked(block)
-                .expect("oracle input arity mismatch"),
-        }
-    }
-
-    /// An epoch segment (`start..start + len`) of `block`, unmasked, into
-    /// a caller-owned buffer — the rotation layer's per-epoch pass. The
-    /// noisy base draws the scalar noise stream for exactly the segment's
-    /// patterns, so segmented block queries stay bit-for-bit the scalar
-    /// loop. Writing into the hoisted buffer keeps the steady-state
-    /// rotating block path at one allocation per call (the returned lane
-    /// vector), regardless of how many epoch segments the block spans.
+    /// A segment (`start..start + len`) of `block`, unmasked, into a
+    /// caller-owned buffer. The noisy base draws the noise stream for
+    /// exactly the segment's patterns.
     fn segment_into(&mut self, block: &PatternBlock, start: usize, len: usize, out: &mut Vec<u64>) {
         match self {
             EvalLayer::Exact { netlist, scratch } => {
                 sim::run_with_scratch_into(netlist, scratch, block, out)
             }
-            EvalLayer::Noisy(engine) => engine.run_scalar_stream_into(block, start, len, out),
+            EvalLayer::Noisy(engine) => engine.run_into(block, start, len, out),
         }
         .expect("oracle input arity mismatch")
     }
@@ -210,20 +152,30 @@ pub struct OracleStack<'a> {
     base: EvalLayer<'a>,
     rotation: Option<Rotation<'a>>,
     count: u64,
-    /// Per-epoch segment lanes, hoisted so a rotating block query reuses
-    /// one buffer across all its segments (and across calls).
+    /// Per-segment lanes, hoisted so a block query reuses one buffer
+    /// across all its segments (and across calls).
     seg_buf: Vec<u64>,
+    /// Input lanes and output lanes of a scalar query's one-pattern
+    /// block, hoisted so `query` allocates only its answer.
+    one_inputs: Vec<u64>,
+    one_outputs: Vec<u64>,
 }
 
 impl<'a> OracleStack<'a> {
-    /// The bare deterministic chip over the original netlist.
-    pub fn exact(netlist: &'a Netlist) -> Self {
+    fn over(base: EvalLayer<'a>, rotation: Option<Rotation<'a>>) -> Self {
         OracleStack {
-            base: EvalLayer::exact(netlist),
-            rotation: None,
+            base,
+            rotation,
             count: 0,
             seg_buf: Vec::new(),
+            one_inputs: Vec::new(),
+            one_outputs: Vec::new(),
         }
+    }
+
+    /// The bare deterministic chip over the original netlist.
+    pub fn exact(netlist: &'a Netlist) -> Self {
+        Self::over(EvalLayer::exact(Cow::Borrowed(netlist)), None)
     }
 
     /// The stochastic chip of Sec. V-B: the defender's keyed netlist with
@@ -238,12 +190,8 @@ impl<'a> OracleStack<'a> {
     ///
     /// Panics if the profile does not cover the keyed netlist's nodes.
     pub fn noisy(keyed: &'a KeyedNetlist, profile: ErrorProfile, seed: u64) -> Self {
-        OracleStack {
-            base: EvalLayer::noisy(keyed.netlist(), profile, seed ^ NOISE_SEED_SALT),
-            rotation: None,
-            count: 0,
-            seg_buf: Vec::new(),
-        }
+        let engine = FaultSimulator::new(keyed.netlist(), profile, seed ^ NOISE_SEED_SALT);
+        Self::over(EvalLayer::Noisy(engine), None)
     }
 
     /// The key-rotating chip of Sec. V-C: correct key for the first epoch,
@@ -258,12 +206,7 @@ impl<'a> OracleStack<'a> {
     /// Panics if `period == 0`.
     pub fn rotating(keyed: &'a KeyedNetlist, period: u64, seed: u64) -> Self {
         let (rotation, resolved) = Self::rotation_over(keyed, period, seed);
-        OracleStack {
-            base: EvalLayer::exact_owned(resolved),
-            rotation: Some(rotation),
-            count: 0,
-            seg_buf: Vec::new(),
-        }
+        Self::over(EvalLayer::exact(Cow::Owned(resolved)), Some(rotation))
     }
 
     /// The **combined defense**: a rotating chip whose switches also run
@@ -283,12 +226,8 @@ impl<'a> OracleStack<'a> {
         seed: u64,
     ) -> Self {
         let (rotation, resolved) = Self::rotation_over(keyed, period, seed);
-        OracleStack {
-            base: EvalLayer::noisy_owned(resolved, profile, seed ^ NOISE_SEED_SALT),
-            rotation: Some(rotation),
-            count: 0,
-            seg_buf: Vec::new(),
-        }
+        let engine = FaultSimulator::owned(resolved, profile, seed ^ NOISE_SEED_SALT);
+        Self::over(EvalLayer::Noisy(engine), Some(rotation))
     }
 
     fn rotation_over(keyed: &'a KeyedNetlist, period: u64, seed: u64) -> (Rotation<'a>, Netlist) {
@@ -326,9 +265,36 @@ impl<'a> OracleStack<'a> {
             }
         }
     }
-}
 
-impl OracleStack<'_> {
+    /// The one evaluation path: answers `block` into `lanes` (cleared and
+    /// refilled, one entry per output), split at epoch boundaries —
+    /// without rotation the whole block is one segment — each segment
+    /// answered by one pass over the epoch's netlist.
+    fn answer_into(&mut self, block: &PatternBlock, lanes: &mut Vec<u64>) {
+        lanes.clear();
+        lanes.resize(self.num_outputs(), 0);
+        let mut k = 0usize;
+        while k < block.count {
+            self.maybe_rotate();
+            let take = match &self.rotation {
+                Some(rot) => (rot.period - self.count % rot.period).min(64) as usize,
+                None => 64,
+            }
+            .min(block.count - k);
+            let segment = if take == 64 {
+                !0u64
+            } else {
+                ((1u64 << take) - 1) << k
+            };
+            self.base.segment_into(block, k, take, &mut self.seg_buf);
+            for (lane, out) in lanes.iter_mut().zip(&self.seg_buf) {
+                *lane |= out & segment;
+            }
+            self.count += take as u64;
+            k += take;
+        }
+    }
+
     /// Latency-histogram name for this stack's layer composition, so the
     /// metrics snapshot separates rotating from static query costs.
     fn latency_histogram(&self, block: bool) -> &'static str {
@@ -344,9 +310,16 @@ impl OracleStack<'_> {
 impl Oracle for OracleStack<'_> {
     fn query(&mut self, inputs: &[bool]) -> Vec<bool> {
         let timed = gshe_obs::enabled().then(std::time::Instant::now);
-        self.maybe_rotate();
-        self.count += 1;
-        let out = self.base.scalar(inputs);
+        let mut one = PatternBlock {
+            lanes: std::mem::take(&mut self.one_inputs),
+            count: 1,
+        };
+        one.lanes.clear();
+        one.lanes.extend(inputs.iter().map(|&bit| u64::from(bit)));
+        let mut lanes = std::mem::take(&mut self.one_outputs);
+        self.answer_into(&one, &mut lanes);
+        let out = lanes.iter().map(|lane| lane & 1 == 1).collect();
+        (self.one_inputs, self.one_outputs) = (one.lanes, lanes);
         if let Some(t0) = timed {
             gshe_obs::record(
                 self.latency_histogram(false),
@@ -356,41 +329,10 @@ impl Oracle for OracleStack<'_> {
         out
     }
 
-    /// Bit-parallel block path. Without a rotation layer this is one pass
-    /// of the base engine. With rotation, the block is split at epoch
-    /// boundaries and each segment answered by one pass over the epoch's
-    /// resolved netlist, drawing the scalar noise stream — key draws,
-    /// flips, query accounting, and answers match the scalar loop exactly;
-    /// only the gate evaluation is batched.
     fn query_block(&mut self, block: &PatternBlock) -> Vec<u64> {
         let timed = gshe_obs::enabled().then(std::time::Instant::now);
-        if self.rotation.is_none() {
-            self.count += block.count as u64;
-            let out = self.base.block_masked(block);
-            if let Some(t0) = timed {
-                gshe_obs::record(self.latency_histogram(true), t0.elapsed().as_nanos() as u64);
-            }
-            return out;
-        }
-        let mut lanes = vec![0u64; self.num_outputs()];
-        let mut k = 0usize;
-        while k < block.count {
-            self.maybe_rotate();
-            let period = self.rotation.as_ref().expect("rotation checked").period;
-            let until_rotation = (period - self.count % period).min(64) as usize;
-            let take = until_rotation.min(block.count - k);
-            let segment = if take == 64 {
-                !0u64
-            } else {
-                ((1u64 << take) - 1) << k
-            };
-            self.base.segment_into(block, k, take, &mut self.seg_buf);
-            for (lane, out) in lanes.iter_mut().zip(&self.seg_buf) {
-                *lane |= out & segment;
-            }
-            self.count += take as u64;
-            k += take;
-        }
+        let mut lanes = Vec::with_capacity(self.num_outputs());
+        self.answer_into(block, &mut lanes);
         if let Some(t0) = timed {
             gshe_obs::record(self.latency_histogram(true), t0.elapsed().as_nanos() as u64);
         }

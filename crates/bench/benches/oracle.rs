@@ -82,12 +82,12 @@ fn bench_oracle_paths(c: &mut Criterion) {
 }
 
 /// The layered oracle stack's `query_block` against the bare
-/// [`FaultSimulator`] it drives: the noise-only stack (thin-adapter
-/// overhead only), the rotating noisy stack at a period long enough that
-/// no boundary falls inside a block (pure layer overhead plus the
-/// scalar-stream noise draw), and at period 20 (three epoch splits per
-/// block — the worst realistic segmentation). This is the measured form
-/// of "each layer is a thin combinator".
+/// [`FaultSimulator`] it drives: the noise-only stack (one segment per
+/// block, so thin-adapter overhead only), the rotating noisy stack at a
+/// period long enough that no boundary falls inside a block (pure layer
+/// overhead), and at period 20 (three epoch splits per block — the worst
+/// realistic segmentation). This is the measured form of "each layer is a
+/// thin combinator".
 fn bench_stacked_oracle(c: &mut Criterion) {
     let (_, keyed) = s38584_keyed();
     let profile = keyed.uniform_error_profile(0.05);
@@ -99,7 +99,7 @@ fn bench_stacked_oracle(c: &mut Criterion) {
 
     let mut bare = FaultSimulator::new(keyed.netlist(), profile.clone(), 11);
     group.bench_function("bare_fault_simulator_64", |b| {
-        b.iter(|| black_box(bare.run_masked(black_box(&block)).unwrap()))
+        b.iter(|| black_box(bare.run(black_box(&block)).unwrap()))
     });
 
     let mut noisy = OracleStack::noisy(&keyed, profile.clone(), 11);

@@ -22,8 +22,9 @@
 //!   simulated — or hashed pattern-at-a-time — twice across jobs;
 //! * [`physical`] — device-derived operating points: the memoized
 //!   clock-period → error-rate table behind the `clock_periods_ns` grid
-//!   dimension (and the historical `gshe_core::stochastic` derivation
-//!   functions, which live here so campaigns can use them);
+//!   dimension, and the device-derived rate functions
+//!   ([`physical::error_rate_for_clock`],
+//!   [`physical::error_profile_for_drives`]) it is built on;
 //! * [`aggregate`]/[`report`] — reduce raw job results into the paper's
 //!   table rows (key-recovery rate, query counts, output-error rate,
 //!   runtime percentiles) and serialize them to JSON or CSV;

@@ -5,7 +5,7 @@
 //! and clocked with period `t_clk` misses its deadline with a probability
 //! set by the switching-delay distribution (Fig. 4). This module hosts
 //! the derivation ([`error_rate_for_clock`], [`error_profile_for_drives`];
-//! re-exported at the historical `gshe_core::stochastic` paths) and the
+//! re-exported at the `gshe_core` root and prelude) and the
 //! campaign-facing piece: [`ClockRateTable`], the memoized
 //! clock-period → error-rate map behind the spec-level `clock_periods_ns`
 //! grid dimension, which lets campaigns sweep clock periods end to end —

@@ -12,8 +12,10 @@
 //! * [`primitive`] — [`GshePrimitive`]: evaluates a configuration through
 //!   the *device*: current summation → sLLGS write of the W-NM → dipolar
 //!   flip of the R-NM → resistive read-out current direction.
-//! * [`stochastic`] — Sec. V-B: tunable per-device error rates derived
-//!   from the switching-delay distribution vs. the clock period.
+//! * [`stochastic`] — Sec. V-B: the primitive operated in the stochastic
+//!   regime; its tunable per-device error rates are derived from the
+//!   switching-delay distribution vs. the clock period in
+//!   [`campaign::physical`] (re-exported at the crate root).
 //! * [`polymorphic`] — Sec. V-C: runtime polymorphism (function morphing
 //!   that preserves chip function); the key-rotating chip is
 //!   [`attacks::OracleStack::rotating`].
@@ -37,11 +39,10 @@ pub mod stochastic;
 
 pub use config::{CurrentInput, GsheConfig, ReadMode};
 pub use flows::{protect, protect_delay_aware, Protected, Provisioning};
+pub use gshe_campaign::physical::{error_profile_for_drives, error_rate_for_clock, SwitchDrive};
 pub use polymorphic::{morph_complement, morph_random};
 pub use primitive::GshePrimitive;
-pub use stochastic::{
-    error_profile_for_drives, error_rate_for_clock, StochasticPrimitive, SwitchDrive,
-};
+pub use stochastic::StochasticPrimitive;
 
 pub use gshe_attacks as attacks;
 pub use gshe_camo as camo;
@@ -57,13 +58,14 @@ pub mod prelude {
     pub use crate::config::{CurrentInput, GsheConfig, ReadMode};
     pub use crate::flows::{protect, protect_delay_aware, Protected, Provisioning};
     pub use crate::primitive::GshePrimitive;
-    pub use crate::stochastic::{
-        error_profile_for_drives, error_rate_for_clock, StochasticPrimitive, SwitchDrive,
-    };
+    pub use crate::stochastic::StochasticPrimitive;
     pub use gshe_attacks::{
         verify_key, AttackConfig, AttackKind, AttackRunner, AttackStatus, Oracle, OracleStack,
     };
     pub use gshe_camo::{camouflage, select_gates, CamoScheme, KeyedNetlist};
+    pub use gshe_campaign::physical::{
+        error_profile_for_drives, error_rate_for_clock, SwitchDrive,
+    };
     pub use gshe_campaign::{
         Campaign, CampaignReport, CampaignSpec, EvalSession, JobStatus, NoiseShape, ProfileSearch,
         SearchReport, SearchSpec,

@@ -4,20 +4,15 @@
 //! the primitive faster than the delay distribution's tail and evaluations
 //! occasionally miss the deadline — the output error rate becomes a *knob*
 //! set by the clock period and the spin current: "the error rate for any
-//! switch can be tuned individually". [`error_rate_for_clock`] derives the
-//! rate from the device Monte Carlo; [`StochasticPrimitive`] applies it at
-//! the logic level.
+//! switch can be tuned individually".
+//! [`error_rate_for_clock`](gshe_campaign::physical::error_rate_for_clock)
+//! derives the rate from the device Monte Carlo; [`StochasticPrimitive`]
+//! applies it at the logic level.
 
 use crate::config::GsheConfig;
 use gshe_logic::Bf2;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-// The device-Monte-Carlo rate derivations moved down into
-// `gshe_campaign::physical` so the campaign engine can sweep *physical*
-// clock periods (`clock_periods_ns`) without a dependency cycle;
-// re-exported here to keep the historical Sec. V-B surface together.
-pub use gshe_campaign::physical::{error_profile_for_drives, error_rate_for_clock, SwitchDrive};
 
 /// A GSHE primitive operated in the stochastic regime.
 #[derive(Debug, Clone)]
@@ -31,7 +26,8 @@ pub struct StochasticPrimitive {
 
 impl StochasticPrimitive {
     /// Creates a stochastic primitive with the given per-evaluation error
-    /// rate (e.g. from [`error_rate_for_clock`]).
+    /// rate (e.g. from
+    /// [`error_rate_for_clock`](gshe_campaign::physical::error_rate_for_clock)).
     ///
     /// # Panics
     ///
@@ -83,6 +79,7 @@ impl StochasticPrimitive {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gshe_campaign::physical::{error_profile_for_drives, error_rate_for_clock, SwitchDrive};
     use gshe_device::SwitchParams;
     use gshe_logic::NodeId;
 

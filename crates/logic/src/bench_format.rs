@@ -41,10 +41,13 @@ fn parse_call(expr: &str, line: usize) -> Result<(String, Vec<String>), LogicErr
         line,
         message: format!("expected OP(...) but found `{expr}`"),
     })?;
-    let close = expr.rfind(')').ok_or_else(|| LogicError::Parse {
-        line,
-        message: "missing closing parenthesis".into(),
-    })?;
+    let close = expr
+        .rfind(')')
+        .filter(|&close| close > open)
+        .ok_or_else(|| LogicError::Parse {
+            line,
+            message: "missing closing parenthesis".into(),
+        })?;
     let op = expr[..open].trim().to_ascii_uppercase();
     let args: Vec<String> = expr[open + 1..close]
         .split(',')
@@ -531,6 +534,20 @@ y = BUFF(p)
         match parse_bench(text) {
             Err(LogicError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reversed_parentheses_return_errors_without_panicking() {
+        for (text, why) in [
+            ("INPUT)1(\n", "input declaration"),
+            ("INPUT(1)\nOUTPUT(2)\n2 = )NAND(1,\n", "gate call"),
+            ("INPUT(1)\nOUTPUT(2)\n2 = NOT)1(\n", "gate operand"),
+        ] {
+            match parse_bench(text) {
+                Err(LogicError::Parse { .. }) => {}
+                other => panic!("{why}: expected parse error, got {other:?}"),
+            }
         }
     }
 

@@ -7,14 +7,14 @@
 //!
 //! * [`ErrorProfile`] — a dense per-node flip-rate table (`Vec<f64>`, one
 //!   entry per netlist node). Uniform rates, per-node vectors, and
-//!   device-derived per-switch rates (see `gshe_core::stochastic`) all
+//!   device-derived per-switch rates (see `gshe_campaign::physical`) all
 //!   normalize to this one representation, so interpreters never do a
 //!   per-node set-membership probe.
-//! * [`FaultSimulator`] — a bit-parallel simulator that evaluates 64 input
-//!   patterns per pass (like [`Simulator`](crate::Simulator)) and injects
-//!   faults as per-node 64-bit Bernoulli flip masks. A mask costs at most
-//!   32 RNG words (usually fewer), so noise costs O(noisy nodes) per
-//!   *block* instead of one RNG call per node per pattern.
+//! * [`FaultSimulator`] — a bit-parallel simulator that evaluates up to 64
+//!   input patterns per pass (like [`Simulator`](crate::Simulator)) and
+//!   injects faults from one pattern-major noise stream: one `gen_bool`
+//!   per noisy node per pattern. A block therefore draws exactly the flips
+//!   the same patterns draw one at a time, however it is segmented.
 //!
 //! With an all-zero profile the engine is bit-identical to
 //! [`Simulator`](crate::Simulator) (property-tested in
@@ -26,47 +26,8 @@ use crate::error::LogicError;
 use crate::netlist::{Netlist, NodeId};
 use crate::sim::{PatternBlock, NODES_EVALUATED};
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
-
-/// Fractional bits of precision in [`bernoulli_mask`]'s fixed-point
-/// representation of the flip probability.
-const BERNOULLI_BITS: u32 = 32;
-
-/// Draws a 64-bit mask whose bits are independently 1 with probability `p`
-/// (quantized to 32 fractional bits).
-///
-/// The mask is built by Horner-evaluating the binary expansion of `p` over
-/// uniform random words: processing digit `b` maps the running mask `m` to
-/// `r | m` (digit 1) or `r & m` (digit 0), which halves-and-shifts the
-/// per-bit probability exactly. Trailing zero digits are no-ops and are
-/// skipped, so dyadic rates (0.5, 0.25, …) cost only a few words and any
-/// rate costs at most 32 — versus 64 `gen_bool` calls for a
-/// pattern-at-a-time interpreter.
-///
-/// # Panics
-///
-/// Panics (debug) if `p` is outside `[0, 1]`.
-pub fn bernoulli_mask<R: RngCore + ?Sized>(rng: &mut R, p: f64) -> u64 {
-    debug_assert!((0.0..=1.0).contains(&p), "flip probability out of range");
-    let q = (p * (1u64 << BERNOULLI_BITS) as f64).round() as u64;
-    if q == 0 {
-        return 0;
-    }
-    if q >= 1u64 << BERNOULLI_BITS {
-        return !0;
-    }
-    let mut mask = 0u64;
-    for i in q.trailing_zeros()..BERNOULLI_BITS {
-        let r = rng.next_u64();
-        mask = if (q >> i) & 1 == 1 {
-            r | mask
-        } else {
-            r & mask
-        };
-    }
-    mask
-}
 
 /// A dense per-node error-rate table: entry `i` is the probability that
 /// node `i`'s computed value flips per evaluation.
@@ -224,25 +185,22 @@ fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Bit-parallel, noise-aware netlist simulator: evaluates 64 patterns per
-/// pass and flips each node's 64 computed values according to its
-/// [`ErrorProfile`] rate.
+/// Bit-parallel, noise-aware netlist simulator: evaluates up to 64
+/// patterns per pass and flips each node's computed values according to
+/// its [`ErrorProfile`] rate.
 ///
 /// Faults at internal nodes propagate forward through the sweep and
 /// superpose — exactly the stochastically correlated output behaviour
 /// Sec. V-B relies on to break SAT-style attacks.
 ///
-/// Two evaluation paths share one gate core
-/// ([`NodeKind::eval_lanes`](crate::NodeKind::eval_lanes)) but consume the
-/// RNG differently:
-///
-/// * [`FaultSimulator::run`] (block path) draws one Bernoulli *mask* per
-///   noisy node per block;
-/// * [`FaultSimulator::run_scalar`] (scalar path) draws one `gen_bool` per
-///   noisy node per pattern — the stream a noisy oracle's scalar query
-///   draws, so seeded scalar experiments reproduce.
-///
-/// Both are deterministic per (netlist, profile, seed).
+/// Noise is one stream: one `gen_bool` per noisy node per pattern,
+/// pattern-major, noisy nodes in topological (ascending-id) order within
+/// a pattern. The flips are pre-drawn into per-node masks (a flip is a
+/// Bernoulli draw independent of the computed value, so pre-drawing
+/// commutes with evaluation), then one bit-parallel pass applies them.
+/// Gate evaluation stays 64-wide, while the answers and the post-call RNG
+/// state are those of evaluating the same patterns one at a time. The
+/// stream is deterministic per (netlist, profile, seed).
 ///
 /// The netlist is held as a [`Cow`], so the engine normally borrows (the
 /// static-oracle case) but an upper layer may swap in an owned netlist of
@@ -254,8 +212,8 @@ pub struct FaultSimulator<'a> {
     profile: ErrorProfile,
     /// Scratch buffer reused across calls.
     values: Vec<u64>,
-    /// Pre-drawn flip masks for the scalar-stream path (one slot per noisy
-    /// node), reused across calls so a stream segment allocates nothing.
+    /// Pre-drawn flip masks (one slot per noisy node), reused across calls
+    /// so a pass allocates nothing.
     flips: Vec<u64>,
     rng: StdRng,
 }
@@ -324,123 +282,27 @@ impl<'a> FaultSimulator<'a> {
         &self.profile
     }
 
-    /// Simulates a block of patterns with fault injection; returns one
-    /// `u64` per primary output (bit `k` = output value under pattern
-    /// `k`).
+    /// Simulates the `block.count` patterns of `block` with fault
+    /// injection; returns one `u64` per primary output (bit `k` = output
+    /// value under pattern `k`). Lanes at or beyond `block.count` evaluate
+    /// noise-free.
     ///
     /// # Errors
     ///
     /// Returns [`LogicError::InputCountMismatch`] if the block width does
     /// not match the number of primary inputs.
     pub fn run(&mut self, block: &PatternBlock) -> Result<Vec<u64>, LogicError> {
-        let nl: &Netlist = &self.netlist;
-        if block.lanes.len() != nl.inputs().len() {
-            return Err(LogicError::InputCountMismatch {
-                expected: nl.inputs().len(),
-                got: block.lanes.len(),
-            });
-        }
-        let values = &mut self.values;
-        let rates = self.profile.rates();
-        for i in 0..nl.len() {
-            let mut v = nl.eval_node_lanes(i, values, |k| block.lanes[k]);
-            let rate = rates[i];
-            if rate > 0.0 {
-                v ^= bernoulli_mask(&mut self.rng, rate);
-            }
-            values[i] = v;
-        }
-        gshe_obs::count(NODES_EVALUATED, nl.len() as u64);
-        Ok(nl.outputs().iter().map(|o| values[o.index()]).collect())
-    }
-
-    /// Like [`FaultSimulator::run`], but clears the bits of invalid lanes
-    /// (`k >= block.count`) so block-capable oracles can return the lanes
-    /// directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogicError::InputCountMismatch`] on arity mismatch.
-    pub fn run_masked(&mut self, block: &PatternBlock) -> Result<Vec<u64>, LogicError> {
-        let mut lanes = self.run(block)?;
-        let mask = block.valid_mask();
-        for lane in &mut lanes {
-            *lane &= mask;
-        }
-        Ok(lanes)
-    }
-
-    /// Evaluates one pattern with fault injection, drawing exactly one
-    /// `gen_bool` per noisy node (the historical scalar stream: flips at
-    /// noisy nodes in topological order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogicError::InputCountMismatch`] on arity mismatch.
-    pub fn run_scalar(&mut self, inputs: &[bool]) -> Result<Vec<bool>, LogicError> {
-        let nl: &Netlist = &self.netlist;
-        if inputs.len() != nl.inputs().len() {
-            return Err(LogicError::InputCountMismatch {
-                expected: nl.inputs().len(),
-                got: inputs.len(),
-            });
-        }
-        let values = &mut self.values;
-        let rates = self.profile.rates();
-        // Lane 0 carries the pattern; the gate core is bitwise, so the
-        // remaining lanes are simply ignored.
-        for i in 0..nl.len() {
-            let mut v = nl.eval_node_lanes(i, values, |k| inputs[k] as u64);
-            let rate = rates[i];
-            if rate > 0.0 && self.rng.gen_bool(rate) {
-                v ^= 1;
-            }
-            values[i] = v;
-        }
-        gshe_obs::count(NODES_EVALUATED, nl.len() as u64);
-        Ok(nl
-            .outputs()
-            .iter()
-            .map(|o| values[o.index()] & 1 == 1)
-            .collect())
-    }
-
-    /// Evaluates a block segment (`start..start + len` of `block`'s
-    /// patterns) bit-parallel while drawing the **scalar** noise stream:
-    /// exactly one `gen_bool` per noisy node per pattern, pattern-major —
-    /// the same RNG order [`FaultSimulator::run_scalar`] consumes. The
-    /// flip decisions are pre-drawn into per-node masks (a flip is a
-    /// Bernoulli draw independent of the computed value, so pre-drawing
-    /// commutes with evaluation), then a single bit-parallel pass applies
-    /// them — gate evaluation stays 64-wide while the segment's outputs,
-    /// and the post-call RNG state, match `len` scalar calls bit for bit.
-    ///
-    /// Lanes outside the segment evaluate noise-free; callers mask to the
-    /// segment. This is the path a key-rotating layer uses to batch
-    /// per-epoch segments over a noisy chip without changing the chip's
-    /// per-query reference semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogicError::InputCountMismatch`] on arity mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start + len` exceeds `block.count`.
-    pub fn run_scalar_stream(
-        &mut self,
-        block: &PatternBlock,
-        start: usize,
-        len: usize,
-    ) -> Result<Vec<u64>, LogicError> {
         let mut out = Vec::with_capacity(self.netlist.outputs().len());
-        self.run_scalar_stream_into(block, start, len, &mut out)?;
+        self.run_into(block, 0, block.count, &mut out)?;
         Ok(out)
     }
 
-    /// Like [`FaultSimulator::run_scalar_stream`], but writes the output
-    /// lanes into a caller-owned buffer (cleared and refilled) — zero
-    /// allocations per segment in the steady state.
+    /// Evaluates the segment `start..start + len` of `block`'s patterns,
+    /// writing the output lanes into a caller-owned buffer (cleared and
+    /// refilled) — zero allocations per segment in the steady state.
+    /// Lanes outside the segment evaluate noise-free; callers mask to the
+    /// segment. Consecutive segments draw the same flips, and leave the
+    /// same RNG state, as one [`FaultSimulator::run`] over their union.
     ///
     /// # Errors
     ///
@@ -450,7 +312,7 @@ impl<'a> FaultSimulator<'a> {
     /// # Panics
     ///
     /// Panics if `start + len` exceeds `block.count`.
-    pub fn run_scalar_stream_into(
+    pub fn run_into(
         &mut self,
         block: &PatternBlock,
         start: usize,
@@ -466,10 +328,8 @@ impl<'a> FaultSimulator<'a> {
             });
         }
         assert!(start + len <= block.count, "segment exceeds block");
-        // Pre-draw the flip masks in scalar order: pattern-major, noisy
-        // nodes in topological (ascending-id) order within each pattern.
-        // The mask buffer is hoisted onto the simulator so a stream
-        // segment performs no allocation at all.
+        // Pre-draw the flip masks pattern-major, noisy nodes in ascending
+        // id order within each pattern.
         let rates = self.profile.rates();
         let flips = &mut self.flips;
         flips.clear();
@@ -496,8 +356,7 @@ impl<'a> FaultSimulator<'a> {
         Ok(())
     }
 
-    /// Values of *all* nodes from the most recent run (packed lanes; for
-    /// scalar runs only bit 0 is meaningful).
+    /// Values of *all* nodes from the most recent run (packed lanes).
     pub fn node_values(&self) -> &[u64] {
         &self.values
     }
@@ -521,6 +380,13 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// One pattern through the engine, as a scalar caller sees it.
+    fn run_one(sim: &mut FaultSimulator<'_>, inputs: &[bool]) -> Vec<bool> {
+        let block = PatternBlock::from_patterns(&[inputs.to_vec()]);
+        let lanes = sim.run(&block).unwrap();
+        lanes.iter().map(|lane| lane & 1 == 1).collect()
+    }
+
     #[test]
     fn quiet_profile_matches_plain_simulator() {
         let nl = adder();
@@ -539,8 +405,11 @@ mod tests {
         let mut sim = FaultSimulator::new(&nl, ErrorProfile::zero(nl.len()), 1);
         for p in 0..4u32 {
             let inputs: Vec<bool> = (0..2).map(|k| (p >> k) & 1 == 1).collect();
-            assert_eq!(sim.run_scalar(&inputs).unwrap(), nl.evaluate(&inputs));
+            assert_eq!(run_one(&mut sim, &inputs), nl.evaluate(&inputs));
         }
+        assert!(sim
+            .run(&PatternBlock::from_patterns(&[vec![true]]))
+            .is_err());
     }
 
     #[test]
@@ -550,32 +419,11 @@ mod tests {
         let profile = ErrorProfile::uniform_at(nl.len(), &[s], 1.0);
         let mut sim = FaultSimulator::new(&nl, profile, 3);
         let block = PatternBlock::from_patterns(&[vec![true, false]]);
-        let lanes = sim.run_masked(&block).unwrap();
+        let lanes = sim.run(&block).unwrap();
         // XOR(1,0) = 1, flipped with certainty → 0; AND untouched → 0.
         assert_eq!(lanes[0] & 1, 0);
         assert_eq!(lanes[1] & 1, 0);
-        let scalar = sim.run_scalar(&[true, false]).unwrap();
-        assert_eq!(scalar, vec![false, false]);
-    }
-
-    #[test]
-    fn bernoulli_mask_extremes_are_exact() {
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(bernoulli_mask(&mut rng, 0.0), 0);
-        assert_eq!(bernoulli_mask(&mut rng, 1.0), !0);
-    }
-
-    #[test]
-    fn bernoulli_mask_tracks_probability() {
-        let mut rng = StdRng::seed_from_u64(17);
-        for &p in &[0.5, 0.25, 0.05, 0.9] {
-            let blocks = 4_000;
-            let ones: u64 = (0..blocks)
-                .map(|_| bernoulli_mask(&mut rng, p).count_ones() as u64)
-                .sum();
-            let freq = ones as f64 / (blocks * 64) as f64;
-            assert!((freq - p).abs() < 0.01, "p={p} observed {freq}");
-        }
+        assert_eq!(run_one(&mut sim, &[true, false]), vec![false, false]);
     }
 
     #[test]
@@ -614,35 +462,39 @@ mod tests {
 
     #[test]
     fn scalar_stream_block_matches_scalar_calls_bit_for_bit() {
-        // The scalar-stream block path must reproduce run_scalar exactly —
-        // outputs AND post-call RNG state — over arbitrary segment splits.
+        // Splitting a block into segments changes neither the lanes nor
+        // the post-call RNG state: a whole-block run and the same block
+        // answered segment by segment (down to one pattern at a time) are
+        // twins.
         let nl = adder();
         let s = nl.find("s").unwrap();
         let c = nl.find("c").unwrap();
         let profile = ErrorProfile::uniform_at(nl.len(), &[s, c], 0.3);
         let mut rng = StdRng::seed_from_u64(11);
-        let mut fast = FaultSimulator::new(&nl, profile.clone(), 7);
-        let mut slow = FaultSimulator::new(&nl, profile, 7);
-        for (start, len) in [(0usize, 64usize), (0, 17), (17, 30), (47, 17)] {
+        let mut whole = FaultSimulator::new(&nl, profile.clone(), 7);
+        let mut split = FaultSimulator::new(&nl, profile, 7);
+        let mut seg = Vec::new();
+        for cuts in [vec![0usize, 64], vec![0, 17, 47, 64], (0..=64).collect()] {
             let block = PatternBlock::random(2, &mut rng);
-            let lanes = fast.run_scalar_stream(&block, start, len).unwrap();
-            for k in start..start + len {
-                let y = slow.run_scalar(&block.pattern(k)).unwrap();
-                for (o, &bit) in y.iter().enumerate() {
-                    assert_eq!(
-                        bit,
-                        (lanes[o] >> k) & 1 == 1,
-                        "segment ({start},{len}) pattern {k} output {o}"
-                    );
+            let lanes = whole.run(&block).unwrap();
+            let mut joined = vec![0u64; lanes.len()];
+            for w in cuts.windows(2) {
+                let (start, len) = (w[0], w[1] - w[0]);
+                split.run_into(&block, start, len, &mut seg).unwrap();
+                let mask = if len == 64 {
+                    !0
+                } else {
+                    ((1u64 << len) - 1) << start
+                };
+                for (j, lane) in joined.iter_mut().zip(&seg) {
+                    *j |= lane & mask;
                 }
             }
+            assert_eq!(joined, lanes, "cuts {cuts:?}");
         }
         // Twins must still agree afterwards: the streams stayed in sync.
         let probe = [true, true];
-        assert_eq!(
-            fast.run_scalar(&probe).unwrap(),
-            slow.run_scalar(&probe).unwrap()
-        );
+        assert_eq!(run_one(&mut whole, &probe), run_one(&mut split, &probe));
     }
 
     #[test]
@@ -652,8 +504,8 @@ mod tests {
         let profile = ErrorProfile::uniform_at(nl.len(), &[s], 0.5);
         let mut a = FaultSimulator::new(&nl, profile.clone(), 3);
         let mut b = FaultSimulator::new(&nl, profile, 3);
-        let _ = a.run_scalar(&[true, false]).unwrap();
-        let _ = b.run_scalar(&[true, false]).unwrap();
+        let _ = run_one(&mut a, &[true, false]);
+        let _ = run_one(&mut b, &[true, false]);
         // Install a structurally different netlist of the same size into
         // `a`: its answers change, but the RNG stream stays the twin's.
         let mut swapped = adder();
@@ -662,8 +514,8 @@ mod tests {
         a.install(swapped.clone());
         for p in 0..4u32 {
             let inputs: Vec<bool> = (0..2).map(|k| (p >> k) & 1 == 1).collect();
-            let ya = a.run_scalar(&inputs).unwrap();
-            let yb = b.run_scalar(&inputs).unwrap();
+            let ya = run_one(&mut a, &inputs);
+            let yb = run_one(&mut b, &inputs);
             // Same flip draws, different function: outputs differ exactly
             // where the swapped gate's clean value differs.
             assert_eq!(ya[0], !yb[0], "XNOR vs XOR under identical flips");

@@ -148,17 +148,6 @@ impl<'a> Simulator<'a> {
         Ok(lanes)
     }
 
-    /// Evaluates one pattern through lane 0 of the bit-parallel core,
-    /// reusing the simulator's scratch buffer — the allocation-free scalar
-    /// path for oracles answering pattern-at-a-time queries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogicError::InputCountMismatch`] on arity mismatch.
-    pub fn run_scalar(&mut self, inputs: &[bool]) -> Result<Vec<bool>, LogicError> {
-        run_scalar_with_scratch(self.netlist, &mut self.values, inputs)
-    }
-
     /// Values of *all* nodes from the most recent [`Simulator::run`] call.
     pub fn node_values(&self) -> &[u64] {
         &self.values
@@ -212,38 +201,6 @@ pub fn run_with_scratch_into(
     gshe_obs::count(NODES_EVALUATED, netlist.len() as u64);
     out.extend(netlist.outputs().iter().map(|o| scratch[o.index()]));
     Ok(())
-}
-
-/// Scalar sibling of [`run_with_scratch`]: evaluates one pattern through
-/// lane 0 of the shared gate core with a caller-owned buffer, so repeated
-/// scalar queries (the SAT-attack DIP loop) allocate nothing per call
-/// beyond the output vector.
-///
-/// # Errors
-///
-/// Returns [`LogicError::InputCountMismatch`] on arity mismatch.
-pub fn run_scalar_with_scratch(
-    netlist: &Netlist,
-    scratch: &mut Vec<u64>,
-    inputs: &[bool],
-) -> Result<Vec<bool>, LogicError> {
-    if inputs.len() != netlist.inputs().len() {
-        return Err(LogicError::InputCountMismatch {
-            expected: netlist.inputs().len(),
-            got: inputs.len(),
-        });
-    }
-    scratch.resize(netlist.len(), 0);
-    for i in 0..netlist.len() {
-        let v = netlist.eval_node_lanes(i, scratch, |k| inputs[k] as u64);
-        scratch[i] = v;
-    }
-    gshe_obs::count(NODES_EVALUATED, netlist.len() as u64);
-    Ok(netlist
-        .outputs()
-        .iter()
-        .map(|o| scratch[o.index()] & 1 == 1)
-        .collect())
 }
 
 /// Estimates whether two netlists with identical interfaces are functionally
@@ -330,17 +287,8 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn run_scalar_matches_evaluate() {
-        let nl = adder();
-        let mut sim = Simulator::new(&nl);
-        for p in 0..4u32 {
-            let inputs: Vec<bool> = (0..2).map(|k| (p >> k) & 1 == 1).collect();
-            assert_eq!(sim.run_scalar(&inputs).unwrap(), nl.evaluate(&inputs));
-        }
-        assert!(sim.run_scalar(&[true]).is_err(), "arity checked");
+        let narrow = PatternBlock::from_patterns(&[vec![true]]);
+        assert!(sim.run(&narrow).is_err(), "arity checked");
     }
 
     #[test]
