@@ -17,6 +17,11 @@
 //! `campaign --help` prints this grid with every valid scheme, attack,
 //! profile, and spec-file key name.
 //!
+//! When the grid holds more than one scheme, the human table ends with a
+//! scheme pivot in Table IV's layout: one row per cell with the scheme
+//! removed, one p50-runtime column per scheme (`t-o` on timeout). The
+//! paper's grid experiments are specs under `specs/paper/`.
+//!
 //! `--out PREFIX` writes `PREFIX.json` and `PREFIX.csv`. `--deterministic`
 //! prints the timing-free JSON (byte-identical across thread counts) to
 //! stdout instead of the human table — the determinism acceptance check
@@ -37,6 +42,24 @@ use std::time::Duration;
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
+}
+
+/// The clock-period column: `-` for an abstract (clock-0) rate.
+fn clock_label(clock_ns: f64) -> String {
+    if clock_ns == 0.0 {
+        "-".to_string()
+    } else {
+        format!("{clock_ns}ns")
+    }
+}
+
+/// The rotation-period column: `-` for a static (period-0) oracle.
+fn period_label(period: u64) -> String {
+    if period == 0 {
+        "-".to_string()
+    } else {
+        period.to_string()
+    }
 }
 
 /// Prints usage, including every valid scheme/attack/profile/key name.
@@ -410,17 +433,9 @@ fn main() {
             row.key.attack.name(),
             row.key.level * 100.0,
             row.key.error_rate,
-            if row.key.clock_ns == 0.0 {
-                "-".to_string()
-            } else {
-                format!("{}ns", row.key.clock_ns)
-            },
+            clock_label(row.key.clock_ns),
             row.key.profile.name(),
-            if row.key.rotation_period == 0 {
-                "-".to_string()
-            } else {
-                row.key.rotation_period.to_string()
-            },
+            period_label(row.key.rotation_period),
             row.trials,
             row.key_recovery_rate * 100.0,
             row.mean_queries,
@@ -460,4 +475,39 @@ fn main() {
         pool_steals,
         utilization * 100.0,
     );
+
+    // Table IV's shape: one column per scheme, p50 runtime or the
+    // dominant failure marker per cell.
+    let (schemes, pivot) = report.scheme_pivot();
+    if schemes.len() > 1 {
+        println!(
+            "\nruntime by scheme (p50 s; t-o = timeout after {} s; incons = inconsistent oracle):",
+            spec.timeout.as_secs()
+        );
+        print!(
+            "{:<14} {:<10} {:>5} {:>10} {:>8} {:>14} {:>7} ",
+            "benchmark", "attack", "prot", "error", "clock", "profile", "period"
+        );
+        for &scheme in &schemes {
+            print!(" {:>10}", scheme_name(scheme));
+        }
+        println!();
+        println!("{:-<1$}", "", 75 + 11 * schemes.len());
+        for (key, cells) in &pivot {
+            print!(
+                "{:<14} {:<10} {:>4.0}% {:>10.4} {:>8} {:>14} {:>7} ",
+                key.benchmark,
+                key.attack.name(),
+                key.level * 100.0,
+                key.error_rate,
+                clock_label(key.clock_ns),
+                key.profile.name(),
+                period_label(key.rotation_period),
+            );
+            for cell in cells {
+                print!(" {cell:>10}");
+            }
+            println!();
+        }
+    }
 }

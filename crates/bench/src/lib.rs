@@ -1,7 +1,7 @@
 //! # gshe-bench
 //!
 //! The benchmark harness that regenerates **every table and figure** of the
-//! paper's evaluation. Each artifact has a dedicated binary (see
+//! paper's evaluation. Most artifacts have a dedicated binary (see
 //! `src/bin/`), and Criterion benches in `benches/` measure the hot paths
 //! and the ablation comparisons DESIGN.md calls out.
 //!
@@ -10,15 +10,16 @@
 //! | Table I   | `table1` |
 //! | Table II  | `table2` |
 //! | Table III | `table3` |
-//! | Table IV  | `table4` |
 //! | Fig. 2    | `fig2` |
 //! | Fig. 4    | `fig4` |
 //! | Fig. 5    | `fig5` |
 //! | Fig. 6    | `fig6` |
 //! | Sec. II s38584 study        | `exp_s38584` |
-//! | Sec. V-A Double DIP study   | `exp_double_dip` |
 //! | Sec. V-A hybrid CMOS–GSHE   | `exp_hybrid` |
-//! | Sec. V-B stochastic defense | `exp_stochastic` |
+//!
+//! Table IV, the Sec. V-A Double DIP study and the Sec. V-B stochastic
+//! study are campaign specs under `specs/paper/`, run by the `campaign`
+//! binary (`campaign --spec specs/paper/table4.toml`).
 //!
 //! Shared argument parsing and table rendering live here.
 
@@ -43,8 +44,6 @@ pub struct HarnessArgs {
     pub seed: u64,
     /// Restrict to one benchmark (empty = all).
     pub only: String,
-    /// Protection levels as fractions (Table IV rows).
-    pub levels: Vec<f64>,
     /// Campaign worker threads (0 = available parallelism).
     pub threads: usize,
 }
@@ -57,53 +56,54 @@ impl Default for HarnessArgs {
             samples: 2_000,
             seed: 1,
             only: String::new(),
-            levels: vec![0.10, 0.20, 0.30, 0.40],
             threads: 0,
         }
     }
 }
 
+const USAGE: &str = "usage: --scale N --timeout SECS --samples N --seed N --only NAME --threads N";
+
 impl HarnessArgs {
-    /// Parses `--scale N --timeout SECS --samples N --seed N --only NAME`
-    /// from `std::env::args`, falling back to the defaults.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
+    /// Parses the process arguments with [`HarnessArgs::parse_from`]. On
+    /// malformed input it prints `error: <msg>` and exits with status 2.
     pub fn parse() -> Self {
-        let mut args = HarnessArgs::default();
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let key = argv[i].as_str();
-            let value = argv.get(i + 1).unwrap_or_else(|| {
-                panic!("missing value for {key}; usage: --scale N --timeout SECS --samples N --seed N --only NAME")
-            });
-            match key {
-                "--scale" => args.scale = value.parse().expect("--scale takes an integer"),
-                "--timeout" => {
-                    args.timeout =
-                        Duration::from_secs(value.parse().expect("--timeout takes seconds"))
-                }
-                "--samples" => args.samples = value.parse().expect("--samples takes an integer"),
-                "--seed" => args.seed = value.parse().expect("--seed takes an integer"),
-                "--only" => args.only = value.clone(),
-                "--threads" => args.threads = value.parse().expect("--threads takes an integer"),
-                "--levels" => {
-                    args.levels = value
-                        .split(',')
-                        .map(|v| {
-                            v.parse::<f64>()
-                                .expect("--levels takes percents, e.g. 10,20")
-                                / 100.0
-                        })
-                        .collect()
-                }
-                other => panic!("unknown option `{other}`"),
-            }
-            i += 2;
+        HarnessArgs::parse_from(&argv).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `--key value` pairs, falling back to the defaults for
+    /// absent keys.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending option on an unknown
+    /// option, a missing value, or a value that does not parse.
+    pub fn parse_from(argv: &[String]) -> Result<Self, String> {
+        fn number<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+            value
+                .parse()
+                .map_err(|_| format!("{key} takes a non-negative integer, got `{value}`"))
         }
-        args
+        let mut args = HarnessArgs::default();
+        for pair in argv.chunks(2) {
+            let key = pair[0].as_str();
+            let value = pair
+                .get(1)
+                .ok_or_else(|| format!("missing value for {key}; {USAGE}"))?;
+            match key {
+                "--scale" => args.scale = number(key, value)?,
+                "--timeout" => args.timeout = Duration::from_secs(number(key, value)?),
+                "--samples" => args.samples = number(key, value)?,
+                "--seed" => args.seed = number(key, value)?,
+                "--only" => args.only = value.clone(),
+                "--threads" => args.threads = number(key, value)?,
+                other => return Err(format!("unknown option `{other}`; {USAGE}")),
+            }
+        }
+        Ok(args)
     }
 }
 
@@ -140,6 +140,29 @@ mod tests {
         let a = HarnessArgs::default();
         assert_eq!(a.scale, 20);
         assert_eq!(a.timeout, Duration::from_secs(60));
+    }
+
+    #[test]
+    fn malformed_flags_are_errors() {
+        let parse = |argv: &[&str]| {
+            HarnessArgs::parse_from(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+        };
+        let parsed = parse(&["--scale", "40", "--only", "c7552", "--timeout", "5"]).unwrap();
+        assert_eq!(parsed.scale, 40);
+        assert_eq!(parsed.only, "c7552");
+        assert_eq!(parsed.timeout, Duration::from_secs(5));
+        for (argv, needle) in [
+            (&["--samples", "x"][..], "--samples takes"),
+            (&["--bogus", "1"], "unknown option `--bogus`"),
+            (&["--seed"], "missing value for --seed"),
+            (&["--scale", "-3"], "--scale takes"),
+            (&["--timeout", "1.5"], "--timeout takes"),
+            (&["--threads", ""], "--threads takes"),
+            (&["--levels", "10,20"], "unknown option `--levels`"),
+        ] {
+            let err = parse(argv).expect_err(needle);
+            assert!(err.contains(needle), "{argv:?}: {err}");
+        }
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! never from thread ids or submission order, so a campaign's results are
 //! a pure function of its spec at any thread count. The default expansion
 //! ([`crate::CampaignSpec::expand`]) derives those seeds from the campaign
-//! master seed plus the job's identity; the paper-table harnesses instead
-//! install the exact historical derivations (e.g. Table IV shares one gate
-//! selection per benchmark × level across all schemes — the paper's
-//! fairness protocol).
+//! master seed plus the job's identity; gate selection depends on the
+//! benchmark and level only, so every scheme of a grid sees the same
+//! protected gates — the paper's fairness protocol.
 
 use crate::cache::{CachedOracle, OracleCache};
 use gshe_attacks::{

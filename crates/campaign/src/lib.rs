@@ -533,8 +533,8 @@ impl EvalSession {
     }
 
     /// Runs an explicit job list under `spec`'s shared knobs (name, scale,
-    /// seed). This is the entry point for harnesses that need a historical
-    /// seed derivation instead of [`CampaignSpec::expand`]'s.
+    /// seed). This is the entry point for job lists that are not a grid,
+    /// such as a lone device measurement.
     ///
     /// The spec's `threads` knob is ignored here — the session's pool is
     /// already sized; reported cache stats are per-run deltas, so a warm

@@ -6,10 +6,11 @@
 //! omits every timing field — that form is byte-identical across thread
 //! counts and is what the determinism tests compare.
 
-use crate::aggregate::{aggregate, DeviceRow, TableRow};
-use crate::job::{JobKind, JobResult, NoiseShape};
+use crate::aggregate::{aggregate, CellKey, DeviceRow, TableRow};
+use crate::job::{JobResult, NoiseShape};
 use crate::pool::{pool_summary, WorkerStats};
 use crate::spec::scheme_name;
+use gshe_camo::CamoScheme;
 use gshe_logic::Topology;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -282,26 +283,39 @@ impl CampaignReport {
         out
     }
 
-    /// Results belonging to one grid cell, in trial order — convenience
-    /// for harnesses that render per-cell output (Table IV cells).
-    pub fn cell_results(
-        &self,
-        benchmark: &str,
-        scheme: gshe_camo::CamoScheme,
-        level: f64,
-    ) -> Vec<&JobResult> {
-        self.results
-            .iter()
-            .filter(|r| match &r.spec.kind {
-                JobKind::Attack {
-                    benchmark: b,
-                    scheme: s,
-                    level: l,
-                    ..
-                } => b == benchmark && *s == scheme && (*l - level).abs() < 1e-12,
-                _ => false,
-            })
-            .collect()
+    /// Table IV's view of the grid: the schemes in first-seen order, and
+    /// one row per aggregate key with the scheme removed, holding one
+    /// [`TableRow::runtime_cell`] per scheme (`-` where the grid lacks
+    /// that cell). Rows keep first-seen order.
+    pub fn scheme_pivot(&self) -> (Vec<CamoScheme>, Vec<(&CellKey, Vec<String>)>) {
+        let mut schemes: Vec<CamoScheme> = Vec::new();
+        for row in &self.rows {
+            if !schemes.contains(&row.key.scheme) {
+                schemes.push(row.key.scheme);
+            }
+        }
+        let same_but_scheme = |a: &CellKey, b: &CellKey| {
+            CellKey {
+                scheme: b.scheme,
+                ..a.clone()
+            } == *b
+        };
+        let mut pivot: Vec<(&CellKey, Vec<String>)> = Vec::new();
+        for row in &self.rows {
+            let column = schemes
+                .iter()
+                .position(|&s| s == row.key.scheme)
+                .expect("every row's scheme is a column");
+            let at = match pivot.iter().position(|(k, _)| same_but_scheme(k, &row.key)) {
+                Some(at) => at,
+                None => {
+                    pivot.push((&row.key, vec!["-".to_string(); schemes.len()]));
+                    pivot.len() - 1
+                }
+            };
+            pivot[at].1[column] = row.runtime_cell();
+        }
+        (schemes, pivot)
     }
 }
 
@@ -336,9 +350,8 @@ pub(crate) fn json_str(out: &mut String, key: &str, value: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{AttackSeeds, JobSpec, JobStatus};
+    use crate::job::{AttackSeeds, JobKind, JobSpec, JobStatus};
     use gshe_attacks::AttackKind;
-    use gshe_camo::CamoScheme;
 
     fn sample_report() -> CampaignReport {
         let result = JobResult {
@@ -554,16 +567,38 @@ mod tests {
     }
 
     #[test]
-    fn cell_results_filters() {
-        let report = sample_report();
-        assert_eq!(
-            report
-                .cell_results("c7552", CamoScheme::GsheAll16, 0.2)
-                .len(),
-            1
+    fn scheme_pivot_puts_schemes_in_columns() {
+        let mut results = Vec::new();
+        for (scheme, level, status) in [
+            (CamoScheme::InvBuf, 0.1, JobStatus::Completed),
+            (CamoScheme::GsheAll16, 0.1, JobStatus::TimedOut),
+            (CamoScheme::InvBuf, 0.2, JobStatus::Completed),
+        ] {
+            let mut r = sample_report().results.remove(0);
+            let JobKind::Attack {
+                scheme: s,
+                level: l,
+                ..
+            } = &mut r.spec.kind
+            else {
+                panic!()
+            };
+            (*s, *l) = (scheme, level);
+            r.status = status;
+            results.push(r);
+        }
+        let report = CampaignReport::new(
+            "pivot".into(),
+            results,
+            1,
+            Duration::from_secs(1),
+            (0, 0, 0),
         );
-        assert!(report
-            .cell_results("c7552", CamoScheme::InvBuf, 0.2)
-            .is_empty());
+        let (schemes, rows) = report.scheme_pivot();
+        assert_eq!(schemes, [CamoScheme::InvBuf, CamoScheme::GsheAll16]);
+        assert_eq!(rows.len(), 2);
+        assert_eq!((rows[0].0.level, rows[1].0.level), (0.1, 0.2));
+        assert_eq!(rows[0].1, ["1.2", "t-o"]);
+        assert_eq!(rows[1].1, ["1.2", "-"]);
     }
 }

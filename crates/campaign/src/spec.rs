@@ -5,8 +5,8 @@
 //! attack grid × oracle error-rate sweep × trials, plus the shared knobs
 //! (netlist scale, per-job wall-clock budget, master seed, worker count).
 //! [`CampaignSpec::expand`] unrolls the grid into [`JobSpec`]s with
-//! identity-derived seeds; the paper-table harnesses build the job list
-//! themselves when they need a historical seed derivation.
+//! identity-derived seeds. The paper's grid experiments are committed
+//! specs under `specs/paper/`.
 //!
 //! Specs can be read from a minimal TOML subset (see
 //! [`CampaignSpec::parse_toml`] and the crate-level docs).

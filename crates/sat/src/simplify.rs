@@ -165,6 +165,10 @@ pub(crate) struct SimpState {
     pub(crate) restarts_since_vivify: u32,
     /// Round-robin cursor into the learnt list for vivification.
     pub(crate) vivify_cursor: usize,
+    /// Every clause handed to [`Solver::add_clause`], so debug builds can
+    /// check each model of a preprocessed solver against the input.
+    #[cfg(debug_assertions)]
+    pub(crate) inputs: Vec<Vec<Lit>>,
 }
 
 /// 64-bit clause signature: one bit per variable bucket. `sig(c) & !sig(d)
@@ -231,9 +235,16 @@ impl SimpDb {
 
     /// Adds a clause (sorted/dedup'd/non-tautological by the caller except
     /// for sorting, which is redone here because arena literal order is
-    /// scrambled by watch swaps). Length-1 clauses go to the unit queue.
+    /// scrambled by watch swaps). The local unit assignment applies first:
+    /// a satisfied clause is dropped and false literals are stripped, so a
+    /// resolvent never hands occurrences back to a variable a unit fixed.
+    /// Length-1 clauses go to the unit queue.
     fn add(&mut self, mut lits: Vec<Lit>) {
         debug_assert!(!self.contradiction);
+        if lits.iter().any(|&l| self.value(l) == LBool::True) {
+            return;
+        }
+        lits.retain(|&l| self.value(l) == LBool::Undef);
         lits.sort_unstable();
         match lits.len() {
             0 => {
@@ -312,9 +323,11 @@ impl SimpDb {
             }
             self.assign[l.var().index()] = LBool::from_bool(l.is_positive());
             self.units.push(l);
+            // Occurrence lists are lazy: a clause strengthened off `l`
+            // still appears on `l`'s list but is not satisfied by it.
             let sat: Vec<usize> = self.occ[l.code()].clone();
             for idx in sat {
-                if !self.clauses[idx].dead {
+                if !self.clauses[idx].dead && self.clauses[idx].lits.contains(&l) {
                     self.kill(idx);
                 }
             }
@@ -784,6 +797,16 @@ impl Solver {
                     cl.iter()
                         .any(|&l| self.model[l.var().index()] == l.is_positive()),
                     "reconstructed model violates a removed clause"
+                );
+            }
+        }
+        #[cfg(debug_assertions)]
+        if self.simp.preprocessed {
+            for cl in &self.simp.inputs {
+                debug_assert!(
+                    cl.iter()
+                        .any(|&l| self.model[l.var().index()] == l.is_positive()),
+                    "extended model violates an input clause {cl:?}"
                 );
             }
         }

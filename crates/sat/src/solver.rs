@@ -442,6 +442,8 @@ impl Solver {
         if !self.ok {
             return false;
         }
+        #[cfg(debug_assertions)]
+        self.simp.inputs.push(lits.to_vec());
         for &l in lits {
             if self.is_eliminated(l.var()) {
                 self.reintroduce(l.var());

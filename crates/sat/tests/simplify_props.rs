@@ -153,6 +153,77 @@ proptest! {
     }
 }
 
+/// Deterministic sweep over unit-free CNFs (4–10 variables, 4–40 clauses
+/// of 2–3 literals). Unit clauses are fixed by `add_clause` before
+/// preprocessing ever runs, so the random generator above rarely hands
+/// the preprocessor a formula whose units it must *discover* itself —
+/// the path where local units meet resolvents and strengthened clauses.
+/// Every verdict is checked against brute force and every extended model
+/// against every input clause.
+#[test]
+fn unit_free_sweep_matches_brute_force() {
+    let mut wrong_verdicts = Vec::new();
+    let mut bad_models = Vec::new();
+    for seed in 0..5_000u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0B5E_55ED);
+        let vars = rng.gen_range(4u32..=10);
+        let clauses = rng.gen_range(4usize..=40);
+        let cnf: Vec<Vec<Lit>> = (0..clauses)
+            .map(|_| {
+                let len = rng.gen_range(2usize..=3);
+                let mut picked: Vec<u32> = Vec::with_capacity(len);
+                while picked.len() < len {
+                    let v = rng.gen_range(0..vars);
+                    if !picked.contains(&v) {
+                        picked.push(v);
+                    }
+                }
+                picked
+                    .into_iter()
+                    .map(|v| Lit::with_polarity(Var(v), rng.gen_bool(0.5)))
+                    .collect()
+            })
+            .collect();
+        let expected = truth_table_sat(&cnf, vars);
+        let (mut s, ok) = solver_with(&cnf, vars, SimplifyMode::On);
+        let sat = ok && s.solve() == SolveResult::Sat;
+        if sat != expected {
+            wrong_verdicts.push(seed);
+        } else if sat && !satisfies(&cnf, model_bits(&s, vars)) {
+            bad_models.push(seed);
+        }
+    }
+    assert!(
+        wrong_verdicts.is_empty() && bad_models.is_empty(),
+        "wrong verdicts at seeds {wrong_verdicts:?}; models violating the input at seeds {bad_models:?}"
+    );
+}
+
+/// A unit the preprocessor discovers must not delete a clause that was
+/// strengthened off the unit's literal. `(¬a∨c∨¬b)` strengthens
+/// `(¬a∨¬c∨¬b)` to `(¬a∨¬b)`, which then subsumes its parent, while the
+/// lazy occurrence list of `¬c` still names the strengthened clause.
+/// `(¬c∨d)` and `(¬c∨¬d)` then yield the unit `¬c`. `(¬a∨¬b)` must
+/// survive: once `a` and `b` are asserted the formula is unsatisfiable.
+#[test]
+fn discovered_unit_spares_clauses_strengthened_off_its_literal() {
+    let mut s = Solver::new();
+    s.set_simplify(SimplifyMode::On);
+    let [a, b, c, d] = [(); 4].map(|_| s.new_var());
+    s.freeze(a);
+    s.freeze(b);
+    // Order matters: the subsumption queue pops the last clause first.
+    s.add_clause(&[Lit::neg(c), Lit::pos(d)]);
+    s.add_clause(&[Lit::neg(c), Lit::neg(d)]);
+    s.add_clause(&[Lit::neg(a), Lit::neg(c), Lit::neg(b)]);
+    s.add_clause(&[Lit::neg(a), Lit::pos(c), Lit::neg(b)]);
+    assert_eq!(s.solve(), SolveResult::Sat);
+    assert!(!(s.model_value(a) && s.model_value(b)));
+    s.add_clause(&[Lit::pos(a)]);
+    s.add_clause(&[Lit::pos(b)]);
+    assert_eq!(s.solve(), SolveResult::Unsat);
+}
+
 /// Pure-literal / unconstrained-variable edge: eliminating a variable
 /// with an empty occurrence side must leave a reconstructable model.
 #[test]

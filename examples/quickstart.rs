@@ -66,5 +66,5 @@ fn main() {
         "\nSAT attack on this toy design: {:?} after {} DIPs ({} oracle queries)",
         outcome.status, outcome.iterations, outcome.queries
     );
-    println!("(tiny circuits always fall — see table4/exp_hybrid for the real story)");
+    println!("(tiny circuits always fall — see specs/paper/table4.toml and exp_hybrid for the real story)");
 }

@@ -8,11 +8,13 @@
 //! cargo run --release --example sb_drill -- sb5 64 auto > drill.json
 //! ```
 //!
-//! leaves a clean machine-readable file. Arguments (all optional):
-//! benchmark name (default `sb5`), scale divisor (default `64`), and a
-//! `sat_simplify` mode — `auto`, `auto:<clauses>`, `on`, or `off`
-//! (default `auto`) — for before/after comparisons of the solver's
-//! pre/inprocessing pipeline on the same instance.
+//! leaves a clean machine-readable file. The recovered key is checked
+//! for functional equivalence; a wrong key fails the drill. Arguments
+//! (all optional): benchmark name (default `sb5`), scale divisor
+//! (default `64`), and a `sat_simplify` mode — `auto`,
+//! `auto:<clauses>`, `on`, or `off` (default `auto`) — for before/after
+//! comparisons of the solver's pre/inprocessing pipeline on the same
+//! instance.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,6 +80,13 @@ fn main() {
         out.solver_stats.simplify_ns as f64 / 1e6,
     );
     assert_eq!(out.status, AttackStatus::Success, "drill cell must break");
+    let key = out.key.as_ref().expect("a successful attack returns a key");
+    let verdict = verify_key(&nl, &keyed, key).expect("key width matches");
+    assert!(
+        verdict.functionally_equivalent,
+        "recovered key is not equivalent to the original netlist"
+    );
+    eprintln!("recovered key verified equivalent");
 
     // Counters plus log2-bucket histograms (`sat.solve.*` per-solve
     // deltas, `sat.lbd`, `sat.simplify_ns`, `attack.coi_*`).
