@@ -3,9 +3,11 @@
 //! A cloaked cell can only be distinguished through outputs its value
 //! reaches. On large designs (superblue-scale, hundreds of thousands of
 //! gates) a handful of cloaked cells typically influences a small
-//! fraction of the outputs — yet the classic miter encodes *two full
-//! copies* of the circuit per phase. This module projects the attack onto
-//! the **cone of influence** of the cloaked cells:
+//! fraction of the outputs. The shared DIP miter ([`crate::dip_engine`])
+//! encodes the key-independent logic only once, yet the logic that feeds
+//! only unaffected outputs still sits in the solver, where search
+//! branches on it. This module projects the attack onto the **cone of
+//! influence** of the cloaked cells:
 //!
 //! 1. **Affected outputs** — a single forward sweep marks every node
 //!    reached by some cloaked cell; the affected outputs are the primary
@@ -103,10 +105,9 @@ pub fn cone_inputs(keyed: &KeyedNetlist, mode: CoiMode) -> Option<Vec<usize>> {
     )
 }
 
-/// Primary outputs reached by some cloaked cell, or `None` when the
-/// projection preconditions fail (no affected output, or every output
-/// affected).
-fn affected_outputs_of(keyed: &KeyedNetlist) -> Option<Vec<NodeId>> {
+/// Key dependence per node: `true` for the cloaked cells and their
+/// transitive fanout, the only nodes whose value a key can change.
+pub(crate) fn key_dependent(keyed: &KeyedNetlist) -> Vec<bool> {
     let nl = keyed.netlist();
     // Forward taint sweep: a node is tainted when it is a cloaked cell
     // or any fanin is tainted. Node order is topological, so one
@@ -120,6 +121,15 @@ fn affected_outputs_of(keyed: &KeyedNetlist) -> Option<Vec<NodeId>> {
             tainted[i] = true;
         }
     }
+    tainted
+}
+
+/// Primary outputs reached by some cloaked cell, or `None` when the
+/// projection preconditions fail (no affected output, or every output
+/// affected).
+fn affected_outputs_of(keyed: &KeyedNetlist) -> Option<Vec<NodeId>> {
+    let nl = keyed.netlist();
+    let tainted = key_dependent(keyed);
     let affected: Vec<NodeId> = nl
         .outputs()
         .iter()

@@ -13,6 +13,14 @@
 //! single-DIP mop-up phase) and the per-round extras (AppSAT's random
 //! reinforcement and approximate early exit).
 //!
+//! The miter is built over **one** set of primary inputs. Key copy 0 is
+//! encoded in full; every later copy re-encodes only the key-dependent
+//! nodes (the cloaked cells and their transitive fanout) and shares copy
+//! 0's literal everywhere else. Only the output pairs whose literals
+//! differ are mitred, single-sided, so a design whose cloaked cells reach
+//! no output converges without a solve or an oracle query. Double DIP's
+//! four copies share the same base.
+//!
 //! Every round is one incremental solve, one scalar [`Oracle::query`] on
 //! the discovered input, and one pin per key copy: the copy's outputs on
 //! that input, encoded constant-folded ([`encode_keyed_fixed`]), are
@@ -26,7 +34,7 @@
 
 use crate::coi::{CoiMode, CoiOracle, CoiProjection};
 use crate::encode::{
-    assert_outputs_equal, assert_valid_key_codes, encode_keyed, encode_keyed_fixed,
+    assert_outputs_equal, assert_valid_key_codes, encode_copies, encode_keyed_fixed,
 };
 use crate::oracle::Oracle;
 use crate::runner::{AttackConfig, AttackOutcome, AttackStatus};
@@ -105,6 +113,13 @@ pub(crate) fn solve_sliced(
     }
 }
 
+/// Single-sided miter over the output pairs whose literals differ, or
+/// `None` when the two copies share every output literal.
+fn output_miter(enc: &mut CircuitEncoder<'_, Solver>, a: &[Lit], b: &[Lit]) -> Option<Lit> {
+    let (da, db): (Vec<Lit>, Vec<Lit>) = a.iter().zip(b).filter(|(x, y)| x != y).unzip();
+    (!da.is_empty()).then(|| enc.miter_pol(&da, &db, Polarity::Pos))
+}
+
 /// Mutable AppSAT bookkeeping across rounds.
 struct AppSatState {
     rng: StdRng,
@@ -170,7 +185,8 @@ pub(crate) fn refine(
     solver.set_simplify(config.simplify);
 
     // Key copies first (their variable indices anchor the search), then the
-    // circuit copies sharing one set of primary inputs, then the miter(s).
+    // circuit copies over one shared set of primary inputs, then the
+    // miter(s).
     let n_copies = if *policy == RefinePolicy::DoubleDip {
         4
     } else {
@@ -183,71 +199,52 @@ pub(crate) fn refine(
                 .collect()
         })
         .collect();
-    let copies: Vec<_> = {
+    // The miter structure is encoded Plaisted–Greenbaum single-sided: the
+    // difference and activation literals are only ever *assumed true*,
+    // never fixed false or read from a model, so the `d → outputs differ`
+    // direction alone is sound. The circuit copies themselves stay
+    // two-sided: their output literals are later pinned to oracle
+    // observations in either polarity.
+    let (phases, input_lits) = {
+        let _span = gshe_obs::span("attack.encode");
         let mut enc = CircuitEncoder::new(&mut solver);
         for k in &keys {
             assert_valid_key_codes(&mut enc, keyed, k);
         }
-        let copies: Vec<_> = keys
-            .iter()
-            .map(|k| encode_keyed(&mut enc, keyed, k))
-            .collect();
-        for c in &copies[1..] {
-            for (a, b) in copies[0].inputs.iter().zip(&c.inputs) {
-                enc.equal(*a, *b);
-            }
-        }
-        copies
-    };
-    // The miter structure is encoded Plaisted–Greenbaum single-sided when
-    // the simplify knob engages on the copy-encoding clause count: the
-    // difference literals are only ever *assumed true*, never fixed false
-    // or read from a model, so the `d → outputs differ` direction alone is
-    // sound. Gated on the same threshold as preprocessing so small seeded
-    // traces (goldens) keep the historical two-sided clause set
-    // bit-for-bit. The circuit copies themselves stay two-sided: their
-    // output literals are later pinned to oracle observations in either
-    // polarity.
-    let pol = if config.simplify.engages(solver.num_problem_clauses()) {
-        Polarity::Pos
-    } else {
-        Polarity::Both
-    };
-    let (phases, input_lits) = {
-        let mut enc = CircuitEncoder::new(&mut solver);
-        let d01 = enc.miter_pol(&copies[0].outputs, &copies[1].outputs, pol);
-        let phases: Vec<Vec<Lit>> = if n_copies == 4 {
-            let d23 = enc.miter_pol(&copies[2].outputs, &copies[3].outputs, pol);
-            // Pairwise key distinctness across the pairs: K1≠K3, K1≠K4,
-            // K2≠K3, K2≠K4 — guarantees ≥ 2 distinct wrong keys eliminated
-            // per double DIP. Gated on an activation literal so the
-            // single-DIP mop-up and the final extraction are not
-            // over-constrained. Under `act`, only the `ne → some diff` and
-            // `diff → keys differ` directions are needed, so the xor/or
-            // definitions inherit the single-sided polarity.
-            let act = enc.fresh();
-            if keyed.key_len() > 0 {
-                for (i, j) in [(0usize, 2usize), (0, 3), (1, 2), (1, 3)] {
-                    let diffs: Vec<Lit> = keys[i]
-                        .iter()
-                        .zip(&keys[j])
-                        .map(|(&a, &b)| enc.gate_tt_pol(0b0110, a, b, pol))
-                        .collect();
-                    let ne = enc.or_many_pol(&diffs, pol);
-                    enc.clause(&[!act, ne]);
+        let (input_lits, outputs) = encode_copies(&mut enc, keyed, &keys);
+        // Copies share every key-independent output literal, so only the
+        // outputs a key can change are mitred. When no output depends on
+        // the key, there is no phase.
+        let phases: Vec<Vec<Lit>> = match output_miter(&mut enc, &outputs[0], &outputs[1]) {
+            None => Vec::new(),
+            Some(d01) if n_copies == 4 => {
+                let d23 = output_miter(&mut enc, &outputs[2], &outputs[3])
+                    .expect("every copy re-encodes the same key-dependent outputs");
+                // Pairwise key distinctness across the pairs: K1≠K3, K1≠K4,
+                // K2≠K3, K2≠K4 — guarantees ≥ 2 distinct wrong keys
+                // eliminated per double DIP. Gated on an activation literal
+                // so the single-DIP mop-up and the final extraction are not
+                // over-constrained.
+                let act = enc.fresh();
+                if keyed.key_len() > 0 {
+                    for (i, j) in [(0usize, 2usize), (0, 3), (1, 2), (1, 3)] {
+                        let diffs: Vec<Lit> = keys[i]
+                            .iter()
+                            .zip(&keys[j])
+                            .map(|(&a, &b)| enc.gate_tt_pol(0b0110, a, b, Polarity::Pos))
+                            .collect();
+                        let ne = enc.or_many_pol(&diffs, Polarity::Pos);
+                        enc.clause(&[!act, ne]);
+                    }
                 }
+                let both = enc.and_many_pol(&[d01, d23], Polarity::Pos);
+                vec![vec![both, act], vec![d01]]
             }
-            let both = match pol {
-                // Historical emission (4 truth-table row clauses).
-                Polarity::Both => enc.and(d01, d23),
-                _ => enc.and_many_pol(&[d01, d23], pol),
-            };
-            vec![vec![both, act], vec![d01]]
-        } else {
-            vec![vec![d01]]
+            Some(d01) => vec![vec![d01]],
         };
-        (phases, copies[0].inputs.clone())
+        (phases, input_lits)
     };
+    gshe_obs::record("attack.miter_clauses", solver.num_problem_clauses() as u64);
     // Freezing contract (see `Solver::freeze`): preprocessing may run on
     // the first solve, so every literal this loop later reads from a model
     // (key bits, primary inputs) or reuses across solves (the phase
@@ -308,6 +305,12 @@ pub(crate) fn refine(
         }
     };
 
+    if phases.is_empty() {
+        // No output depends on the key, so no observation constrains it:
+        // every valid key is correct, code 0 at every cell included.
+        let key = vec![false; keyed.key_len()];
+        return finish(AttackStatus::Success, Some(key), 0, &solver, oracle);
+    }
     for assumptions in &phases {
         loop {
             if Instant::now() >= deadline {
@@ -343,10 +346,13 @@ pub(crate) fn refine(
                         let _span = gshe_obs::span("attack.oracle");
                         oracle.query(&dip)
                     };
-                    let mut enc = CircuitEncoder::new(&mut solver);
-                    for key in &keys {
-                        let outs = encode_keyed_fixed(&mut enc, keyed, key, &dip);
-                        assert_outputs_equal(&mut enc, &outs, &y);
+                    {
+                        let _span = gshe_obs::span("attack.encode");
+                        let mut enc = CircuitEncoder::new(&mut solver);
+                        for key in &keys {
+                            let outs = encode_keyed_fixed(&mut enc, keyed, key, &dip);
+                            assert_outputs_equal(&mut enc, &outs, &y);
+                        }
                     }
                     if let Some(state) = appsat.as_mut() {
                         if let Some((status, key)) = appsat_round(
@@ -531,6 +537,43 @@ mod tests {
         assert_eq!(out.status, AttackStatus::Success);
         let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
         assert!(v.functionally_equivalent);
+    }
+
+    #[test]
+    fn unobservable_cloaked_cells_converge_without_a_solve_or_query() {
+        // The cloaked cell feeds no output, so every copy shares every
+        // output literal: no miter, no DIP, and any valid key is correct.
+        // The observable logic is a random multi-level circuit, so a miter
+        // over two separately encoded copies would need search to prove
+        // the copies equal.
+        use crate::runner::{AttackKind, AttackRunner};
+        use gshe_logic::{Bf2, NetlistBuilder};
+        let mut b = NetlistBuilder::new("t");
+        let mut nodes: Vec<_> = (0..8).map(|i| b.input(format!("x{i}"))).collect();
+        let mut rng = StdRng::seed_from_u64(11);
+        for g in 0..80 {
+            let (i, j) = (rng.gen_range(0..nodes.len()), rng.gen_range(0..nodes.len()));
+            let f = [Bf2::XOR, Bf2::AND, Bf2::OR, Bf2::NAND][g % 4];
+            let n = b.gate2(format!("g{g}"), f, nodes[i], nodes[j]);
+            nodes.push(n);
+        }
+        for &o in &nodes[nodes.len() - 6..] {
+            b.output(o);
+        }
+        let hidden = b.gate2("hidden", Bf2::OR, nodes[0], nodes[1]);
+        let nl = b.finish().unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let keyed = camouflage(&nl, &[hidden], CamoScheme::GsheAll16, &mut rng).unwrap();
+        for kind in AttackKind::ALL {
+            let runner = AttackRunner::with_config(kind, AttackConfig::with_timeout_secs(10), 0);
+            let out = runner.run(&keyed, &mut OracleStack::exact(&nl));
+            assert_eq!(out.status, AttackStatus::Success, "{kind:?}");
+            assert_eq!(out.queries, 0, "{kind:?}");
+            assert_eq!(out.iterations, 0, "{kind:?}");
+            assert_eq!(out.solver_stats.conflicts, 0, "{kind:?}");
+            let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
+            assert!(v.functionally_equivalent, "{kind:?}");
+        }
     }
 
     #[test]

@@ -36,10 +36,8 @@ pub struct AttackConfig {
     /// ([`SimplifyMode::Auto`] by default: instances with at least
     /// [`gshe_sat::SIMPLIFY_AUTO_THRESHOLD`] problem clauses are
     /// preprocessed — subsumption, self-subsumption strengthening, and
-    /// bounded variable elimination — and vivified at restart boundaries;
-    /// the same gate enables Plaisted–Greenbaum single-sided miter
-    /// encoding. Smaller instances keep the historical solver trace
-    /// bit-for-bit).
+    /// bounded variable elimination — and vivified at restart
+    /// boundaries). The miter encoding does not depend on it.
     pub simplify: SimplifyMode,
 }
 

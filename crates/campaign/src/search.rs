@@ -854,6 +854,27 @@ mod tests {
     }
 
     #[test]
+    fn fewest_switch_member_need_not_have_the_lowest_mean_rate() {
+        // A many-switch, low-rate physics seed and a one-switch, high-rate
+        // mutant both sit on the front. The fewest-switch member's mean
+        // rate exceeds the seed's, yet every winning seed is still weakly
+        // dominated by a front member — the property the front promises.
+        let seed = scored(4, 0.00176, true);
+        let mut mutant = scored(1, 0.0766, true);
+        mutant.generation = 1;
+        let archive = vec![scored(0, 0.0, false), seed, mutant];
+        let mut front = pareto_front(&archive);
+        front.sort_by_key(|&i| archive[i].noisy_switches);
+        assert_eq!(front, vec![2, 1]);
+        assert!(archive[front[0]].mean_rate > archive[1].mean_rate);
+        for s in archive.iter().filter(|r| r.generation == 0 && r.wins) {
+            assert!(front.iter().any(|&f| {
+                archive[f].noisy_switches <= s.noisy_switches && archive[f].mean_rate <= s.mean_rate
+            }));
+        }
+    }
+
+    #[test]
     fn pareto_front_breaks_exact_ties_toward_the_earlier_candidate() {
         let archive = vec![scored(1, 0.2, true), scored(1, 0.2, true)];
         assert_eq!(pareto_front(&archive), vec![0]);

@@ -67,6 +67,7 @@ fn deterministic_json_is_byte_identical_with_obs_enabled_and_disabled() {
         "job.verify",
         "attack.solve",
         "attack.oracle",
+        "attack.encode",
     ] {
         assert!(
             trace.contains(&format!("\"name\":\"{span}\"")),
@@ -75,7 +76,12 @@ fn deterministic_json_is_byte_identical_with_obs_enabled_and_disabled() {
     }
     // (`cache.hits` registers only on a hit; a single-trial SAT attack
     // never re-queries a block, so the guaranteed cache signal is misses.)
-    for metric in ["\"cache.misses\"", "\"sat.decisions\"", "\"attack.rounds\""] {
+    for metric in [
+        "\"cache.misses\"",
+        "\"sat.decisions\"",
+        "\"attack.rounds\"",
+        "\"attack.miter_clauses\"",
+    ] {
         assert!(metrics.contains(metric), "metrics missing {metric}");
     }
 }

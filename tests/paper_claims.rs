@@ -37,8 +37,7 @@ const SEEDS: [u64; 3] = [1, 2, 3];
 /// Table IV: on a shared gate selection, the all-16 GSHE primitive costs
 /// the SAT attack at least as many DIPs as every scheme with fewer
 /// cloaked functions. DWM (8 functions) is left out: at this scale it
-/// beat GSHE16 on 2 of these 6 instances (c7552 seed 1: 33 vs 30 DIPs;
-/// ex1010 seed 2: 44 vs 39).
+/// beat GSHE16 on 1 of these 6 instances (c7552 seed 2: 26 vs 25 DIPs).
 #[test]
 fn table4_gshe16_needs_the_most_dips() {
     let others = ["look-alike", "stt-lut", "sinw", "inv-buf", "four-fn"]
@@ -71,10 +70,10 @@ fn table4_gshe16_needs_the_most_dips() {
 
 /// Sec. V-A: "Double DIP needs no more DIPs than the SAT attack" does not
 /// hold per instance at this scale — Double DIP exceeded SAT for inv-buf
-/// on c7552 seed 1 (8 vs 6) and for stt-lut on c7552 seed 2 (16 vs 14),
-/// and on GSHE16 for ex1010 seed 4 (29 vs 26). It does hold in aggregate
+/// on c7552 seed 1 (6 vs 5) and for stt-lut on ex1010 seed 1 (28 vs 26),
+/// and on GSHE16 for ex1010 seed 4 (31 vs 27). It does hold in aggregate
 /// on the paper's primitive: summed over the six GSHE16 instances of the
-/// Table IV test, Double DIP needs fewer DIPs (171 vs 209).
+/// Table IV test, Double DIP needs fewer DIPs (183 vs 226).
 #[test]
 fn double_dip_needs_fewer_dips_in_aggregate_on_gshe16() {
     let (mut sat, mut double_dip) = (0.0, 0.0);

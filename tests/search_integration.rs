@@ -2,9 +2,9 @@
 //! one seed at any thread count, its Pareto front must consist of
 //! profiles that actually defeat the attack while a cheaper rejected
 //! neighbor does not, and the `EvalSession` it runs on must leave
-//! campaign output untouched (pinned against the committed PR 3 / PR 4
-//! deterministic baselines by `tests/golden_report.rs`; re-checked here
-//! through a *shared warm* session).
+//! campaign output untouched (pinned against the committed deterministic
+//! baseline by `tests/golden_report.rs`; re-checked here through a
+//! *shared warm* session).
 
 use spin_hall_security::campaign::search::{ProfileSearch, SearchSpec};
 use spin_hall_security::campaign::{Campaign, CampaignSpec, EvalSession, NoiseShape};
@@ -93,18 +93,22 @@ fn front_profiles_win_while_a_cheaper_rejected_neighbor_loses() {
         "a deterministic chip must lose: {baseline:?}"
     );
 
-    // Mutations only ever explore cheaper neighbors of winners, so the
-    // front must be at least as cheap as every physics seed that won.
-    let cheapest_seed_mean = report
+    // Mutations only ever explore cheaper neighbors of winners, so every
+    // physics seed that won must be weakly dominated by some front member
+    // (no more switches and no higher mean rate). The two axes trade off,
+    // so the fewest-switch member need not have the lowest mean rate.
+    for seed in report
         .evaluated
         .iter()
         .filter(|row| row.generation == 0 && row.wins)
-        .map(|row| row.mean_rate)
-        .fold(f64::INFINITY, f64::min);
-    assert!(
-        cheapest.mean_rate <= cheapest_seed_mean,
-        "search did not improve on its physics seeds"
-    );
+    {
+        assert!(
+            front
+                .iter()
+                .any(|f| f.noisy_switches <= seed.noisy_switches && f.mean_rate <= seed.mean_rate),
+            "winning physics seed not covered by the front: {seed:?}"
+        );
+    }
 }
 
 #[test]
@@ -137,7 +141,7 @@ fn warm_session_campaign_output_stays_byte_identical() {
     // one warm session — with a profile search in between, growing the
     // session's memos and cache — must serialize byte-identically to a
     // fresh one-shot `Campaign::run` (which the golden tests pin against
-    // the committed PR 3 / PR 4 baselines).
+    // the committed baseline).
     let campaign_spec = CampaignSpec {
         name: "warm".to_string(),
         benchmarks: vec!["ex1010".to_string()],

@@ -59,13 +59,14 @@ fn smoke_verdicts_match_with_and_without_simplification() {
     }
 }
 
-/// The preprocessing payoff on the attack's real workload, pinned: on
-/// the s38584 two-copy key-search miter (the instance the SAT attack
-/// iterates on), subsumption + bounded variable
+/// The preprocessing payoff on a key-search miter, pinned: on the
+/// textbook s38584 two-copy miter, subsumption + bounded variable
 /// elimination must shave at least 30% of the problem clauses or 30% of
-/// the variables. The construction mirrors `dip_engine::refine` exactly —
-/// key codes, two circuit copies over shared inputs, output miter — with
-/// the same interface freezing (key and input literals).
+/// the variables. The construction is key codes, two full circuit copies
+/// with tied inputs and an output miter (the miter the benchmark's solver
+/// probe builds), with the DIP engine's interface freezing (key and
+/// input literals). The engine's own miter shares the key-independent
+/// logic between copies and so leaves less for preprocessing to remove.
 #[test]
 fn preprocessing_reduces_the_s38584_miter_by_30_percent() {
     let spec = suites::spec("s38584").expect("s-suite benchmark present");
